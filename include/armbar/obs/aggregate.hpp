@@ -103,6 +103,12 @@ struct SweepSummary {
   std::size_t dropped_spans = 0;
 };
 
+/// Append @p report to @p summary: one row, plus its machine's totals.
+/// Folding every report of a sweep in job order through this builds the
+/// same summary as aggregate(), so a streaming caller can keep one row
+/// per job instead of every report.
+void accumulate(SweepSummary& summary, const MetricsReport& report);
+
 SweepSummary aggregate(const std::vector<MetricsReport>& reports);
 
 /// Convenience: aggregate straight from SweepDriver::run_with_metrics.

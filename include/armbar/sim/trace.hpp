@@ -167,11 +167,6 @@ class Tracer {
   /// CSV: start_ps,finish_ps,core,line,kind,layer,phase,round
   std::string to_csv() const;
 
-  /// Chrome trace-event JSON ("X" complete events; one row per core).
-  /// Timestamps are emitted in microseconds as the format requires.
-  /// armbar::obs::to_perfetto_json adds phase-span tracks and metadata.
-  std::string to_chrome_json() const;
-
   static constexpr std::size_t kDefaultCapacity = 1 << 20;
 
  private:

@@ -136,9 +136,12 @@ class SweepService {
 
   /// Stream jobs from @p in until EOF (or request_stop()): per-job JSONL
   /// result lines plus a trailing SweepSummary JSON object are written to
-  /// @p out.  May be called repeatedly on one service (the cache persists
-  /// across calls — that is the warm path).  Not reentrant: one serve()
-  /// at a time.
+  /// @p out.  A record is written as soon as it is next in job order —
+  /// while intake waits on input, by the worker that finished it, one
+  /// thread at a time — and @p out is flushed whenever the next read may
+  /// block (in.rdbuf()->in_avail() <= 0).  May be called repeatedly on
+  /// one service (the cache persists across calls — that is the warm
+  /// path).  Not reentrant: one serve() at a time.
   ServiceStats serve(std::istream& in, std::ostream& out);
 
   /// Graceful drain: stop consuming new input after the current line,

@@ -115,63 +115,65 @@ std::string explain(const MetricsReport& report, double threshold) {
   return out;
 }
 
+void accumulate(SweepSummary& summary, const MetricsReport& r) {
+  SweepSummary::Row row;
+  row.machine = r.machine_name;
+  row.barrier = r.barrier_name;
+  row.threads = r.threads;
+  row.iterations = r.iterations;
+  row.mean_overhead_ns = r.mean_overhead_ns;
+  row.shares = span_shares(r);
+  row.bound = classify(row.shares);
+  row.total_ops = report_total_ops(r);
+  row.rfo_invalidations = r.totals.invalidations;
+  row.layer_transfers.assign(r.layer_names.size(), 0);
+  for (const PhaseMetrics& m : r.phases) {
+    row.remote_transfers += m.remote_transfers;
+    for (std::size_t l = 0;
+         l < m.layer_transfers.size() && l < row.layer_transfers.size(); ++l)
+      row.layer_transfers[l] += m.layer_transfers[l];
+  }
+  row.rfo_per_kop =
+      row.total_ops == 0
+          ? 0.0
+          : 1000.0 * static_cast<double>(row.rfo_invalidations) /
+                static_cast<double>(row.total_ops);
+
+  // Machine totals, first-occurrence order.
+  auto mt = std::find_if(
+      summary.machines.begin(), summary.machines.end(),
+      [&](const SweepSummary::MachineTotals& t) {
+        return t.machine == r.machine_name;
+      });
+  if (mt == summary.machines.end()) {
+    SweepSummary::MachineTotals fresh;
+    fresh.machine = r.machine_name;
+    fresh.layer_names = r.layer_names;
+    fresh.phase_layer_transfers.assign(
+        static_cast<std::size_t>(kNumPhases),
+        std::vector<std::uint64_t>(r.layer_names.size(), 0));
+    summary.machines.push_back(std::move(fresh));
+    mt = summary.machines.end() - 1;
+  }
+  for (int p = 0; p < kNumPhases; ++p) {
+    const auto& from = r.phases[static_cast<std::size_t>(p)].layer_transfers;
+    auto& into = mt->phase_layer_transfers[static_cast<std::size_t>(p)];
+    for (std::size_t l = 0; l < from.size() && l < into.size(); ++l)
+      into[l] += from[l];
+  }
+  mt->total_ops += row.total_ops;
+  mt->rfo_invalidations += row.rfo_invalidations;
+  ++mt->runs;
+
+  summary.dropped_events += r.dropped_events;
+  summary.dropped_spans += r.dropped_spans;
+  summary.rows.push_back(std::move(row));
+}
+
 SweepSummary aggregate(const std::vector<MetricsReport>& reports) {
   SweepSummary summary;
   summary.rows.reserve(reports.size());
-  for (const MetricsReport& r : reports) {
-    SweepSummary::Row row;
-    row.machine = r.machine_name;
-    row.barrier = r.barrier_name;
-    row.threads = r.threads;
-    row.iterations = r.iterations;
-    row.mean_overhead_ns = r.mean_overhead_ns;
-    row.shares = span_shares(r);
-    row.bound = classify(row.shares);
-    row.total_ops = report_total_ops(r);
-    row.rfo_invalidations = r.totals.invalidations;
-    row.layer_transfers.assign(r.layer_names.size(), 0);
-    for (const PhaseMetrics& m : r.phases) {
-      row.remote_transfers += m.remote_transfers;
-      for (std::size_t l = 0;
-           l < m.layer_transfers.size() && l < row.layer_transfers.size(); ++l)
-        row.layer_transfers[l] += m.layer_transfers[l];
-    }
-    row.rfo_per_kop =
-        row.total_ops == 0
-            ? 0.0
-            : 1000.0 * static_cast<double>(row.rfo_invalidations) /
-                  static_cast<double>(row.total_ops);
-
-    // Machine totals, first-occurrence order.
-    auto mt = std::find_if(
-        summary.machines.begin(), summary.machines.end(),
-        [&](const SweepSummary::MachineTotals& t) {
-          return t.machine == r.machine_name;
-        });
-    if (mt == summary.machines.end()) {
-      SweepSummary::MachineTotals fresh;
-      fresh.machine = r.machine_name;
-      fresh.layer_names = r.layer_names;
-      fresh.phase_layer_transfers.assign(
-          static_cast<std::size_t>(kNumPhases),
-          std::vector<std::uint64_t>(r.layer_names.size(), 0));
-      summary.machines.push_back(std::move(fresh));
-      mt = summary.machines.end() - 1;
-    }
-    for (int p = 0; p < kNumPhases; ++p) {
-      const auto& from = r.phases[static_cast<std::size_t>(p)].layer_transfers;
-      auto& into = mt->phase_layer_transfers[static_cast<std::size_t>(p)];
-      for (std::size_t l = 0; l < from.size() && l < into.size(); ++l)
-        into[l] += from[l];
-    }
-    mt->total_ops += row.total_ops;
-    mt->rfo_invalidations += row.rfo_invalidations;
-    ++mt->runs;
-
-    summary.dropped_events += r.dropped_events;
-    summary.dropped_spans += r.dropped_spans;
-    summary.rows.push_back(std::move(row));
-  }
+  for (const MetricsReport& r : reports) accumulate(summary, r);
   return summary;
 }
 

@@ -168,22 +168,4 @@ std::string Tracer::to_csv() const {
   return os.str();
 }
 
-std::string Tracer::to_chrome_json() const {
-  std::ostringstream os;
-  os << "[";
-  bool first = true;
-  for (const TraceEvent& ev : events_) {
-    if (!first) os << ",";
-    first = false;
-    // Complete ("X") events: ts/dur in microseconds (fractional allowed).
-    os << "\n  {\"name\":\"" << to_string(ev.kind) << " L" << ev.line
-       << "\",\"cat\":\"mem\",\"ph\":\"X\",\"ts\":"
-       << static_cast<double>(ev.start) / 1e6
-       << ",\"dur\":" << static_cast<double>(ev.finish - ev.start) / 1e6
-       << ",\"pid\":0,\"tid\":" << ev.core << "}";
-  }
-  os << "\n]\n";
-  return os.str();
-}
-
 }  // namespace armbar::sim

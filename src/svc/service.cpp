@@ -254,28 +254,45 @@ bool is_comment_prefix(const std::string& line) {
 
 struct SweepService::Impl {
   struct Request {
-    std::uint64_t seq = 0;
+    std::uint64_t seq = 0;  ///< reorder-window sequence, never reused
+    std::uint64_t job = 0;  ///< index within the current serve() batch
     std::string line;
   };
 
-  /// One reorder-window slot: a worker publishes the finished entry with
-  /// a release store on `ready`; the intake/emitter thread consumes it
-  /// and recycles the slot.  Intake admits job seq only once seq - W has
-  /// been emitted, so a slot is never written before it was drained.
+  /// One reorder-window slot: a publisher fills `entry`, then stores
+  /// seq + 1 into `published`; the record for seq leaves once the head of
+  /// the window reaches it.  Sequence numbers run on across serve()
+  /// calls, so the tag names either the slot's current occupant or the one
+  /// a window earlier and a slot is never reset.  Intake admits seq only
+  /// once seq - W has been emitted, so a slot is never written before it
+  /// was drained.
   struct Slot {
-    std::atomic<bool> ready{false};
+    std::atomic<std::uint64_t> published{0};
     std::shared_ptr<const CachedResult> entry;
   };
 
   using Ring = SpscRing<std::unique_ptr<Request>>;
 
-  /// The ring is behind shared_ptr so a superseded worker (which still
-  /// holds a reference from its spawn) can be abandoned without racing
-  /// the replacement ring installed for its successor.
+  /// One worker thread's job ring and doorbell.  Every spawn gets a fresh
+  /// inbox, so a superseded worker (which keeps its own reference) can be
+  /// abandoned without racing the inbox installed for its successor.
+  struct Inbox {
+    explicit Inbox(std::size_t capacity) : ring(capacity) {}
+    Ring ring;
+    /// Set while the worker sleeps on `bell` (or is about to).
+    std::atomic<bool> parked{false};
+    std::atomic<std::uint32_t> bell{0};
+
+    void wake() {
+      bell.fetch_add(1, std::memory_order_release);
+      bell.notify_one();
+    }
+  };
+
   struct Worker {
     explicit Worker(std::size_t ring_capacity)
-        : ring(std::make_shared<Ring>(ring_capacity)) {}
-    std::shared_ptr<Ring> ring;
+        : inbox(std::make_shared<Inbox>(ring_capacity)) {}
+    std::shared_ptr<Inbox> inbox;
     std::thread thread;
     /// Bumped (under pub_mu) each time the worker is superseded; the
     /// thread's captured epoch going stale tells it to discard its work
@@ -287,6 +304,12 @@ struct SweepService::Impl {
     /// steady_clock ns when the current job started; 0 = idle.  Only
     /// maintained when supervision is on.
     std::atomic<std::int64_t> busy_since_ns{0};
+  };
+
+  /// A superseded worker's thread, still finishing a stalled job.
+  struct Zombie {
+    std::thread thread;
+    std::shared_ptr<Inbox> inbox;
   };
 
   explicit Impl(ServiceOptions o)
@@ -326,10 +349,12 @@ struct SweepService::Impl {
 
   ~Impl() {
     stop.store(true, std::memory_order_release);
+    for (auto& w : workers) w->inbox->wake();
+    for (Zombie& z : zombies) z.inbox->wake();
     for (auto& w : workers)
       if (w->thread.joinable()) w->thread.join();
-    for (std::thread& t : zombies)
-      if (t.joinable()) t.join();
+    for (Zombie& z : zombies)
+      if (z.thread.joinable()) z.thread.join();
   }
 
   static std::int64_t now_ns() {
@@ -339,26 +364,29 @@ struct SweepService::Impl {
   }
 
   void start_worker(Worker& w) {
-    auto ring = w.ring;
+    auto inbox = w.inbox;
     const std::uint64_t my_epoch = w.epoch.load(std::memory_order_relaxed);
-    w.thread =
-        std::thread([this, &w, ring, my_epoch] { worker_loop(w, *ring,
-                                                             my_epoch); });
+    w.thread = std::thread(
+        [this, &w, inbox, my_epoch] { worker_loop(w, *inbox, my_epoch); });
   }
 
-  void worker_loop(Worker& self, Ring& ring, std::uint64_t my_epoch) {
+  bool superseded(const Worker& self, std::uint64_t my_epoch) const {
+    return supervised &&
+           self.epoch.load(std::memory_order_acquire) != my_epoch;
+  }
+
+  void worker_loop(Worker& self, Inbox& inbox, std::uint64_t my_epoch) {
     // Worker-private pointer cache in front of the shared registry.
     std::unordered_map<std::string, const topo::Machine*> local_machines;
     int idle = 0;
     for (;;) {
       std::unique_ptr<Request> req;
-      while (!ring.try_pop(req)) {
+      while (!inbox.ring.try_pop(req)) {
         if (stop.load(std::memory_order_acquire)) return;
-        if (supervised &&
-            self.epoch.load(std::memory_order_acquire) != my_epoch)
-          return;  // superseded while idle: a fresh worker owns the name
-        // Spin briefly, then yield, then sleep: a daemon waiting for the
-        // next job batch must not burn a core.
+        // Superseded while idle: a fresh worker owns the name.
+        if (superseded(self, my_epoch)) return;
+        // Spin briefly, then yield, then sleep on the doorbell: a daemon
+        // waiting for the next job batch must not burn a core.
         if (idle < 64) {
           ++idle;
           util::cpu_relax();
@@ -366,17 +394,17 @@ struct SweepService::Impl {
           ++idle;
           std::this_thread::yield();
         } else {
-          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          park(self, inbox, my_epoch);
         }
       }
       idle = 0;
       if (supervised) {
-        if (self.epoch.load(std::memory_order_acquire) != my_epoch)
+        if (superseded(self, my_epoch))
           return;  // superseded: this request was already re-queued
         self.busy_since_ns.store(now_ns(), std::memory_order_release);
       }
       try {
-        if (opts.chaos.before_job) opts.chaos.before_job(req->seq);
+        if (opts.chaos.before_job) opts.chaos.before_job(req->job);
         process(*req, local_machines, self, my_epoch);
       } catch (...) {
         // An escaped exception (in practice: a chaos-hook kill) ends this
@@ -387,10 +415,33 @@ struct SweepService::Impl {
           self.dead.store(true, std::memory_order_release);
         return;
       }
-      if (supervised &&
-          self.epoch.load(std::memory_order_acquire) == my_epoch)
+      if (supervised && !superseded(self, my_epoch))
         self.busy_since_ns.store(0, std::memory_order_release);
     }
+  }
+
+  /// Sleep until the doorbell rings: a push, supersession, or shutdown.
+  /// The ticket is read first, so a ring that lands after it makes
+  /// wait() return at once.
+  void park(const Worker& self, Inbox& inbox, std::uint64_t my_epoch) {
+    const std::uint32_t ticket = inbox.bell.load(std::memory_order_acquire);
+    inbox.parked.store(true, std::memory_order_relaxed);
+    // Dekker pair with notify_parked(): this side stores `parked`, then
+    // looks at the ring; intake stores the ring tail, then looks at
+    // `parked`.  A full fence between each store and load means at least
+    // one side sees the other's store, so no push is slept through.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (inbox.ring.empty() && !stop.load(std::memory_order_acquire) &&
+        !superseded(self, my_epoch))
+      inbox.bell.wait(ticket, std::memory_order_acquire);
+    inbox.parked.store(false, std::memory_order_relaxed);
+  }
+
+  /// Intake, after each push: wake the worker only if it is parked.
+  static void notify_parked(Inbox& inbox) {
+    // Dekker pair with park(); see there.
+    std::atomic_thread_fence(std::memory_order_seq_cst);
+    if (inbox.parked.load(std::memory_order_relaxed)) inbox.wake();
   }
 
   void process(const Request& req,
@@ -422,7 +473,7 @@ struct SweepService::Impl {
               attempt >= opts.max_attempts)
             break;
           retries.fetch_add(1, std::memory_order_relaxed);
-          retry_pause(req.seq, attempt);
+          retry_pause(req.job, attempt);
         }
         if (computed->failed && computed->deadline)
           deadline_errors.fetch_add(1, std::memory_order_relaxed);
@@ -442,23 +493,116 @@ struct SweepService::Impl {
       err->tail = render_error_tail("parse-error", e.what(), "");
       entry = std::move(err);
     }
-    publish(req.seq, std::move(entry), self, my_epoch);
-  }
-
-  void publish(std::uint64_t seq, std::shared_ptr<const CachedResult> entry,
-               Worker& self, std::uint64_t my_epoch) {
-    Slot& slot = slots[seq & (slots.size() - 1)];
     if (supervised) {
       // Epoch-guarded: a superseded worker's late result is discarded —
       // the supervisor already re-queued (or re-reported) this seq.
       std::lock_guard<std::mutex> lk(pub_mu);
       if (self.epoch.load(std::memory_order_relaxed) != my_epoch) return;
-      slot.entry = std::move(entry);
-      slot.ready.store(true, std::memory_order_release);
+      post(req.seq, std::move(entry));
     } else {
-      slot.entry = std::move(entry);
-      slot.ready.store(true, std::memory_order_release);
+      post(req.seq, std::move(entry));
     }
+    // Dekker pair with intake's read window (serve()): this side stores
+    // `published` (in post), then loads `intake_reading`; intake stores
+    // `intake_reading`, then loads `published` (in drain_locked).  Either
+    // this worker drains, or intake sees the record before it blocks.
+    if (intake_reading.load(std::memory_order_seq_cst))
+      try_drain(/*worker=*/true);
+  }
+
+  /// Fill seq's slot and mark it ready.  The slot is free: intake admitted
+  /// seq into the window.
+  void post(std::uint64_t seq, std::shared_ptr<const CachedResult> entry) {
+    Slot& slot = slots[seq & (slots.size() - 1)];
+    slot.entry = std::move(entry);
+    slot.published.store(seq + 1, std::memory_order_seq_cst);
+  }
+
+  // -- in-order emission -----------------------------------------------------
+  //
+  // Whichever thread holds `draining` writes every ready head-of-window
+  // record.  A worker writes only while intake is in a read that may block
+  // (`intake_reading`) and stops once the read returns; the rest of the
+  // time intake drains itself, so the warm path keeps its workers on jobs.
+
+  /// Write every record whose turn has come, unless another thread holds
+  /// the drain lock; that holder then sees the record.
+  void try_drain(bool worker) {
+    do {
+      // Dekker pair with process(): a worker stores `published`, then
+      // loads `draining` (this exchange); the holder stores `draining`
+      // (the release below), then loads `published` (drain_due).  A record
+      // published while the lock is held is seen by one of the two.
+      if (draining.exchange(true, std::memory_order_seq_cst)) return;
+      drain_locked(worker);
+      draining.store(false, std::memory_order_seq_cst);
+    } while (drain_due(worker));
+  }
+
+  /// After a release: is the head record ready, or is output waiting for
+  /// a flush while intake may block?
+  bool drain_due(bool worker) {
+    const bool reading = intake_reading.load(std::memory_order_seq_cst);
+    if (worker && !reading) return false;  // intake drains on its return
+    const std::uint64_t seq = emitted.load(std::memory_order_seq_cst);
+    return slots[seq & (slots.size() - 1)].published.load(
+               std::memory_order_seq_cst) == seq + 1 ||
+           (reading && unflushed.load(std::memory_order_relaxed));
+  }
+
+  /// Caller holds `draining`.
+  void drain_locked(bool worker) {
+    std::uint64_t seq = emitted.load(std::memory_order_relaxed);
+    for (;;) {
+      if (worker && !intake_reading.load(std::memory_order_seq_cst)) return;
+      Slot& slot = slots[seq & (slots.size() - 1)];
+      if (slot.published.load(std::memory_order_seq_cst) != seq + 1) break;
+      const CachedResult& entry = *slot.entry;
+      emit_line(*out, seq - base, entry.tail);
+      if (entry.failed)
+        ++failed;
+      else
+        obs::accumulate(summary, entry.report);
+      slot.entry.reset();
+      emitted.store(++seq, std::memory_order_release);
+      unflushed.store(true, std::memory_order_relaxed);
+    }
+    // While intake may block on input, nothing else would push buffered
+    // records out to a reader waiting on them.
+    if (unflushed.load(std::memory_order_relaxed) &&
+        intake_reading.load(std::memory_order_seq_cst)) {
+      out->flush();
+      unflushed.store(false, std::memory_order_relaxed);
+    }
+  }
+
+  /// Intake's blocking take of the drain lock, to open or close a batch.
+  void lock_drain() {
+    while (draining.exchange(true, std::memory_order_seq_cst))
+      std::this_thread::yield();
+  }
+
+  /// Start a serve() batch writing to @p o; returns the batch's first seq.
+  std::uint64_t open_batch(std::ostream& o) {
+    lock_drain();
+    out = &o;
+    failed = 0;
+    base = emitted.load(std::memory_order_relaxed);
+    draining.store(false, std::memory_order_seq_cst);
+    return base;
+  }
+
+  /// End the batch (every record emitted): write the summary, return the
+  /// failed-record count.
+  std::uint64_t close_batch() {
+    lock_drain();
+    *out << obs::to_json(summary) << '\n';
+    const std::uint64_t n_failed = failed;
+    out = nullptr;
+    summary = {};
+    unflushed.store(false, std::memory_order_relaxed);
+    draining.store(false, std::memory_order_seq_cst);
+    return n_failed;
   }
 
   ServiceOptions opts;
@@ -473,13 +617,27 @@ struct SweepService::Impl {
   std::vector<std::unique_ptr<Worker>> workers;
   /// Serializes publication against supersession when supervised.
   std::mutex pub_mu;
-  /// Threads of superseded-but-alive (stalled) workers; joined at
-  /// destruction.  Touched only by the intake thread and the destructor.
-  std::vector<std::thread> zombies;
+  /// Superseded-but-alive (stalled) workers; joined at destruction.
+  /// Touched only by the intake thread and the destructor.
+  std::vector<Zombie> zombies;
   std::atomic<bool> stop{false};
   std::atomic<bool> stop_requested{false};
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> deadline_errors{0};
+
+  /// Next seq to emit; advanced only by the `draining` holder.
+  std::atomic<std::uint64_t> emitted{0};
+  /// The drain lock.
+  std::atomic<bool> draining{false};
+  /// Intake is in a read that may block: workers drain (and flush).
+  std::atomic<bool> intake_reading{false};
+  /// Records written since the last flush.
+  std::atomic<bool> unflushed{false};
+  // The batch being emitted; touched only by the `draining` holder.
+  std::ostream* out = nullptr;
+  std::uint64_t base = 0;  ///< seq of the batch's job 0
+  obs::SweepSummary summary;
+  std::uint64_t failed = 0;
 };
 
 SweepService::SweepService(ServiceOptions opts)
@@ -511,11 +669,11 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   const bool supervised = impl.supervised;
   const auto uworkers = static_cast<std::size_t>(impl.nworkers);
 
-  std::uint64_t submitted = 0;
-  std::uint64_t emitted = 0;
-  std::uint64_t failed = 0;
+  // Sequence numbers run on across batches; base is this batch's job 0.
+  const std::uint64_t base = impl.open_batch(out);
+  std::uint64_t submitted = base;
+  std::uint64_t emitted = base;  // intake's view of impl.emitted
   ServiceStats stats;
-  std::vector<obs::MetricsReport> reports;
 
   // Supervision bookkeeping (intake-thread-private; sized only when on).
   // outstanding[w]: seqs handed to worker w, not yet published.
@@ -529,16 +687,6 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   std::deque<std::uint64_t> requeue_q;  // orphans awaiting a new worker
   std::size_t rr = 0;                   // round-robin cursor for re-queues
 
-  // Intake-side publication for records that never reach a worker
-  // (shed, oversized, worker-lost).  The slot is free: callers run only
-  // after the backpressure check admits seq into the window.
-  const auto publish_direct = [&](std::uint64_t seq,
-                                  std::shared_ptr<const CachedResult> e) {
-    Impl::Slot& slot = impl.slots[seq & mask];
-    slot.entry = std::move(e);
-    slot.ready.store(true, std::memory_order_release);
-  };
-
   const auto error_entry = [](const std::string& kind,
                               const std::string& message) {
     auto e = std::make_shared<CachedResult>();
@@ -547,37 +695,31 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
     return e;
   };
 
-  // Emit every completed result whose turn has come (in-order drain).
-  const auto drain_ready = [&] {
-    while (emitted < submitted) {
-      Impl::Slot& slot = impl.slots[emitted & mask];
-      if (!slot.ready.load(std::memory_order_acquire)) return;
-      emit_line(out, emitted, slot.entry->tail);
-      if (slot.entry->failed)
-        ++failed;
-      else
-        reports.push_back(slot.entry->report);
-      slot.entry.reset();
-      slot.ready.store(false, std::memory_order_relaxed);
-      if (supervised) {
+  // Emit what is ready, then catch intake's view up with every record
+  // that went out — on this thread or a worker — and retire those seqs
+  // from the supervision bookkeeping.
+  const auto drain = [&] {
+    impl.try_drain(/*worker=*/false);
+    const std::uint64_t upto = impl.emitted.load(std::memory_order_acquire);
+    if (supervised) {
+      for (; emitted < upto; ++emitted) {
         const std::size_t idx = emitted & mask;
         const int w = worker_of[idx];
-        if (w >= 0) {
-          // Re-queues break per-worker FIFO order, so find-erase rather
-          // than popping the front.
-          auto& dq = outstanding[static_cast<std::size_t>(w)];
-          const auto it = std::find(dq.begin(), dq.end(), emitted);
-          if (it != dq.end()) dq.erase(it);
-          worker_of[idx] = -1;
-        }
+        if (w < 0) continue;
+        // Re-queues break per-worker FIFO order, so find-erase rather
+        // than popping the front.
+        auto& dq = outstanding[static_cast<std::size_t>(w)];
+        const auto it = std::find(dq.begin(), dq.end(), emitted);
+        if (it != dq.end()) dq.erase(it);
+        worker_of[idx] = -1;
       }
-      ++emitted;
     }
+    emitted = upto;
   };
 
   // Replace every dead or stalled worker: bump its epoch (under pub_mu,
   // so its late publishes are discarded), recycle the thread, install a
-  // fresh ring, respawn, and move its unfinished seqs to the re-queue.
+  // fresh inbox, respawn, and move its unfinished seqs to the re-queue.
   const auto supervise = [&] {
     if (!supervised) return;
     const std::int64_t now = Impl::now_ns();
@@ -598,20 +740,23 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
         std::lock_guard<std::mutex> lk(impl.pub_mu);
         wk.epoch.fetch_add(1, std::memory_order_relaxed);
       }
-      // A dead worker's thread has returned (or is about to); a stalled
-      // one is still running — park it with the zombies and let it exit
-      // on its own when it notices the stale epoch.
+      // A parked thread wakes, sees the stale epoch and exits.  A dead
+      // worker's thread has returned (or is about to); a stalled one is
+      // still running — park it with the zombies and let it exit on its
+      // own when it notices the stale epoch.
+      wk.inbox->wake();
       if (wk.dead.load(std::memory_order_acquire))
         wk.thread.join();
       else
-        impl.zombies.push_back(std::move(wk.thread));
+        impl.zombies.push_back({std::move(wk.thread), wk.inbox});
       wk.dead.store(false, std::memory_order_relaxed);
       wk.busy_since_ns.store(0, std::memory_order_relaxed);
-      wk.ring = std::make_shared<Impl::Ring>(impl.opts.ring_capacity);
+      wk.inbox = std::make_shared<Impl::Inbox>(impl.opts.ring_capacity);
       impl.start_worker(wk);
       for (const std::uint64_t seq : outstanding[w]) {
         const std::size_t idx = seq & mask;
-        if (impl.slots[idx].ready.load(std::memory_order_acquire)) {
+        if (impl.slots[idx].published.load(std::memory_order_acquire) ==
+            seq + 1) {
           worker_of[idx] = -1;  // published before supersession: done
           continue;
         }
@@ -630,24 +775,26 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
       const std::size_t idx = seq & mask;
       if (requeue_count[idx] >= impl.opts.max_requeues) {
         worker_of[idx] = -1;
-        publish_direct(
-            seq, error_entry("worker-lost",
-                             "job lost its worker " +
-                                 std::to_string(requeue_count[idx] + 1) +
-                                 " times; re-queue budget exhausted"));
+        impl.post(seq,
+                  error_entry("worker-lost",
+                              "job lost its worker " +
+                                  std::to_string(requeue_count[idx] + 1) +
+                                  " times; re-queue budget exhausted"));
         ++stats.worker_lost;
         requeue_q.pop_front();
         continue;
       }
       auto req = std::make_unique<Impl::Request>();
       req->seq = seq;
+      req->job = seq - base;
       req->line = line_of[idx];
       bool pushed = false;
       for (std::size_t k = 0; k < uworkers; ++k) {
         const std::size_t cand = (rr + k) % uworkers;
         Impl::Worker& cw = *impl.workers[cand];
         if (cw.dead.load(std::memory_order_acquire)) continue;
-        if (!cw.ring->try_push(std::move(req))) continue;
+        if (!cw.inbox->ring.try_push(std::move(req))) continue;
+        Impl::notify_parked(*cw.inbox);
         ++requeue_count[idx];
         ++stats.requeued;
         worker_of[idx] = static_cast<int>(cand);
@@ -662,7 +809,7 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   };
 
   const auto tick = [&] {
-    drain_ready();
+    drain();
     supervise();
     pump_requeues();
   };
@@ -671,8 +818,20 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   std::string line;
   for (;;) {
     if (impl.stop_requested.load(std::memory_order_acquire)) break;
+    // A read that may block is the one window in which workers write
+    // records (and flush them): intake cannot until the read returns.
+    // Intake writes what is ready first, so the window spans little more
+    // than the read itself.
+    std::streambuf* sb = in.rdbuf();
+    const bool may_block = in.good() && sb != nullptr && sb->in_avail() <= 0;
+    if (may_block) {
+      drain();
+      impl.intake_reading.store(true, std::memory_order_seq_cst);
+      drain();
+    }
     const LineStatus st =
         read_job_line(in, line, impl.opts.max_line_bytes);
+    if (may_block) impl.intake_reading.store(false, std::memory_order_seq_cst);
     if (st == LineStatus::kEof) break;
     if (st == LineStatus::kOversized) {
       if (is_comment_prefix(line)) continue;
@@ -680,14 +839,14 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
         tick();
         waiter.step();
       }
-      publish_direct(submitted, [&] {
+      impl.post(submitted, [&] {
         auto e = std::make_shared<CachedResult>();
         e->failed = true;
         e->tail = oversized_tail(impl.opts.max_line_bytes);
         return e;
       }());
       ++submitted;
-      drain_ready();
+      drain();
       continue;
     }
     if (!is_job_line(line)) continue;
@@ -700,30 +859,31 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
     // record instead of queueing (nothing is ever silently dropped).
     if (impl.opts.max_inflight > 0 &&
         submitted - emitted >= impl.opts.max_inflight) {
-      publish_direct(
-          submitted,
-          error_entry("shed", "intake over capacity: " +
-                                  std::to_string(submitted - emitted) +
-                                  " jobs in flight (max_inflight " +
-                                  std::to_string(impl.opts.max_inflight) +
-                                  ")"));
+      impl.post(submitted,
+                error_entry("shed", "intake over capacity: " +
+                                        std::to_string(submitted - emitted) +
+                                        " jobs in flight (max_inflight " +
+                                        std::to_string(impl.opts.max_inflight) +
+                                        ")"));
       ++stats.shed;
       ++submitted;
-      drain_ready();
+      drain();
       continue;
     }
     auto req = std::make_unique<Impl::Request>();
     req->seq = submitted;
+    req->job = submitted - base;
     req->line = std::move(line);
-    const std::size_t target = submitted % uworkers;
+    const std::size_t target = (submitted - base) % uworkers;
     const std::size_t idx = submitted & mask;
     if (supervised) line_of[idx] = req->line;
-    // Re-fetch the ring each attempt: supervise() may have respawned the
+    // Re-fetch the inbox each attempt: supervise() may have respawned the
     // target with a fresh one.
-    while (!impl.workers[target]->ring->try_push(std::move(req))) {
+    while (!impl.workers[target]->inbox->ring.try_push(std::move(req))) {
       tick();
       waiter.step();
     }
+    Impl::notify_parked(*impl.workers[target]->inbox);
     if (supervised) {
       worker_of[idx] = static_cast<int>(target);
       requeue_count[idx] = 0;
@@ -740,11 +900,8 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
     waiter.step();
   }
 
-  const obs::SweepSummary summary = obs::aggregate(reports);
-  out << obs::to_json(summary) << '\n';
-
-  stats.jobs = submitted;
-  stats.failed = failed;
+  stats.jobs = submitted - base;
+  stats.failed = impl.close_batch();
   stats.cache_hits = impl.cache.hits() - hits0;
   stats.cache_misses = impl.cache.misses() - misses0;
   stats.retries = impl.retries.load(std::memory_order_relaxed) - retries0;

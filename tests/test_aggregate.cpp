@@ -140,6 +140,35 @@ TEST(Aggregate, JsonAndTableRender) {
   EXPECT_NE(table.find("other"), std::string::npos);
 }
 
+TEST(Aggregate, AccumulateFoldMatchesAggregate) {
+  // A streaming consumer folds reports one at a time; the summary must
+  // be byte-identical to aggregating the whole list.  Mixed machines
+  // (synthetic and real, interleaved) exercise first-occurrence order and
+  // per-machine layer tables of different widths.
+  std::vector<MetricsReport> reports = {
+      synthetic_report("B", "x", 100.0, 100.0),
+      synthetic_report("A", "y", 200.0, 100.0),
+  };
+  const auto kunpeng = topo::kunpeng920();
+  const auto thunderx2 = topo::thunderx2();
+  std::vector<simbar::SweepJob> jobs;
+  for (const topo::Machine* m : {&kunpeng, &thunderx2, &kunpeng}) {
+    simbar::SimRunConfig cfg;
+    cfg.threads = 8;
+    cfg.iterations = 4;
+    cfg.warmup = 1;
+    jobs.push_back({m, simbar::sim_factory(Algo::kDissemination, {}), cfg});
+  }
+  for (const auto& run : simbar::SweepDriver(1).run_with_metrics(jobs))
+    reports.push_back(run.report);
+  reports.push_back(synthetic_report("B", "z", 100.0, 300.0));
+
+  SweepSummary folded;
+  for (const MetricsReport& r : reports) accumulate(folded, r);
+  EXPECT_EQ(to_json(folded), to_json(aggregate(reports)));
+  EXPECT_EQ(folded.machines.size(), 4u);
+}
+
 TEST(Aggregate, RealSweepRoundTrip) {
   // End-to-end: run a small real sweep with metrics and aggregate it.
   const auto m = topo::kunpeng920();

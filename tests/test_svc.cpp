@@ -1,16 +1,22 @@
 // Sweep-service tests: SPSC ring, JSONL job parsing, cache-key
 // semantics, the result cache, heatmap folding, and the service's core
 // contract — daemon output byte-identical to the one-shot path for any
-// worker count and any cache state (docs/SERVICE.md §4).
+// worker count and any cache state (docs/SERVICE.md §4) — plus prompt
+// emission: a record reaches its reader without waiting for more input.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "armbar/obs/heatmap.hpp"
@@ -311,15 +317,19 @@ TEST(ServiceIdentity, DaemonMatchesOneshotAtEveryWorkerCount) {
 
   EXPECT_EQ(oneshot_output(jobs, 4), reference)
       << "one-shot output depends on worker count";
-  for (const int workers : {1, 4, 0}) {  // 0 = hardware concurrency
-    svc::ServiceOptions opts;
-    opts.workers = workers;
-    EXPECT_EQ(daemon_output(jobs, opts), reference)
-        << "daemon diverged at workers=" << workers;
-    opts.use_cache = false;
-    EXPECT_EQ(daemon_output(jobs, opts), reference)
-        << "uncached daemon diverged at workers=" << workers;
-  }
+  for (const double heartbeat_ms : {0.0, 60000.0})  // plain, supervised
+    for (const int workers : {1, 4, 0}) {  // 0 = hardware concurrency
+      svc::ServiceOptions opts;
+      opts.workers = workers;
+      opts.heartbeat_ms = heartbeat_ms;
+      EXPECT_EQ(daemon_output(jobs, opts), reference)
+          << "daemon diverged at workers=" << workers
+          << ", heartbeat_ms=" << heartbeat_ms;
+      opts.use_cache = false;
+      EXPECT_EQ(daemon_output(jobs, opts), reference)
+          << "uncached daemon diverged at workers=" << workers
+          << ", heartbeat_ms=" << heartbeat_ms;
+    }
 }
 
 TEST(ServiceIdentity, TinyRingStillOrdersCorrectly) {
@@ -475,6 +485,185 @@ TEST(ServiceStatsCheck, AccountingMatchesStream) {
   EXPECT_EQ(stats.failed, 4u);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses + /*parse errors=*/1,
             stats.jobs);
+}
+
+// -- prompt emission ---------------------------------------------------------
+
+/// The reader's end of a live pipe.  Counts the job records that have
+/// reached the reader; buffered, they get there only through sync() (the
+/// flush), unbuffered every byte arrives at once.
+class ReaderSink : public std::streambuf {
+ public:
+  explicit ReaderSink(bool buffered) : buffered_(buffered) { reset_put_area(); }
+
+  /// Wait until @p n records reached the reader; false past @p deadline.
+  bool wait_records(std::size_t n,
+                    std::chrono::steady_clock::time_point deadline) {
+    std::unique_lock<std::mutex> lk(mu_);
+    return cv_.wait_until(lk, deadline, [&] { return records_ >= n; });
+  }
+
+  std::string text() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return text_;
+  }
+
+  std::size_t syncs() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return syncs_;
+  }
+
+ protected:
+  int sync() override {
+    deliver();
+    std::lock_guard<std::mutex> lk(mu_);
+    ++syncs_;
+    return 0;
+  }
+
+  int_type overflow(int_type ch) override {
+    deliver();
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      const char c = traits_type::to_char_type(ch);
+      append(&c, &c + 1);
+    }
+    return traits_type::not_eof(ch);
+  }
+
+ private:
+  void reset_put_area() {
+    if (buffered_) setp(buf_, buf_ + sizeof buf_);
+  }
+
+  void deliver() {
+    append(pbase(), pptr());
+    reset_put_area();
+  }
+
+  void append(const char* begin, const char* end) {
+    std::lock_guard<std::mutex> lk(mu_);
+    for (const char* p = begin; p != end; ++p) {
+      text_.push_back(*p);
+      if (*p != '\n') continue;
+      if (text_.compare(line_start_, 8, "{\"job\": ") == 0) ++records_;
+      line_start_ = text_.size();
+    }
+    cv_.notify_all();
+  }
+
+  bool buffered_;
+  char buf_[1 << 16];
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::string text_;
+  std::size_t line_start_ = 0;
+  std::size_t records_ = 0;
+  std::size_t syncs_ = 0;
+};
+
+/// The writer's end of a live pipe, driven by a request/response client:
+/// it sends job line k+1 only once the record for job k reached it.  Past
+/// the deadline it ends the stream instead of hanging the test.
+class ClientSource : public std::streambuf {
+ public:
+  ClientSource(std::vector<std::string> lines, ReaderSink& sink)
+      : lines_(std::move(lines)),
+        sink_(sink),
+        deadline_(std::chrono::steady_clock::now() + std::chrono::seconds(5)) {}
+
+  bool timed_out() const { return timed_out_; }
+
+ protected:
+  int_type underflow() override {
+    if (gptr() < egptr()) return traits_type::to_int_type(*gptr());
+    if (next_ >= lines_.size() || timed_out_) return traits_type::eof();
+    if (next_ > 0 && !sink_.wait_records(next_, deadline_)) {
+      timed_out_ = true;
+      return traits_type::eof();
+    }
+    current_ = lines_[next_++] + '\n';
+    setg(current_.data(), current_.data(), current_.data() + current_.size());
+    return traits_type::to_int_type(*gptr());
+  }
+
+ private:
+  std::vector<std::string> lines_;
+  ReaderSink& sink_;
+  std::chrono::steady_clock::time_point deadline_;
+  std::size_t next_ = 0;
+  std::string current_;
+  bool timed_out_ = false;
+};
+
+std::vector<std::string> latency_jobs() {
+  std::vector<std::string> lines;
+  for (const char* algo : {"dis", "sense", "mcs", "cmb"})
+    for (int threads : {4, 8})
+      lines.push_back(std::string("{\"machine\": \"kunpeng920\", \"algo\": \"") +
+                      algo + "\", \"threads\": " + std::to_string(threads) +
+                      ", \"iterations\": 4}");
+  lines.push_back("not a job");  // error records take their turn too
+  return lines;
+}
+
+std::string joined(const std::vector<std::string>& lines) {
+  std::string text;
+  for (const std::string& l : lines) text += l + '\n';
+  return text;
+}
+
+/// Serve @p lines to a request/response client on @p service, cold then
+/// warm; every record must reach the client before it sends the next line.
+void expect_prompt_records(const svc::ServiceOptions& opts, bool buffered) {
+  const std::vector<std::string> lines = latency_jobs();
+  const std::string reference = oneshot_output(joined(lines), 1);
+  svc::SweepService service(opts);
+  for (const char* pass : {"cold", "warm"}) {
+    ReaderSink sink(buffered);
+    ClientSource source(lines, sink);
+    std::istream in(&source);
+    std::ostream out(&sink);
+    service.serve(in, out);
+    out.flush();
+    EXPECT_FALSE(source.timed_out())
+        << pass << " pass, workers=" << opts.workers
+        << ", heartbeat_ms=" << opts.heartbeat_ms
+        << ": a record waited for the next input line";
+    EXPECT_EQ(sink.text(), reference)
+        << pass << " pass, workers=" << opts.workers;
+    if (buffered)
+      EXPECT_GE(sink.syncs(), lines.size() - 1)
+          << "every record must be flushed before intake blocks";
+  }
+}
+
+TEST(ServiceLatency, RecordLeavesBeforeNextLine) {
+  for (const double heartbeat_ms : {0.0, 60000.0})  // plain, supervised
+    for (const int workers : {1, 2, 4}) {
+      svc::ServiceOptions opts;
+      opts.workers = workers;
+      opts.heartbeat_ms = heartbeat_ms;
+      expect_prompt_records(opts, /*buffered=*/false);
+    }
+}
+
+TEST(ServiceLatency, FlushesWhenIntakeMayBlock) {
+  for (const int workers : {1, 4}) {
+    svc::ServiceOptions opts;
+    opts.workers = workers;
+    expect_prompt_records(opts, /*buffered=*/true);
+  }
+  // Input already buffered in full never blocks intake, so records are
+  // not flushed one by one.
+  const std::vector<std::string> lines = latency_jobs();
+  std::istringstream in(joined(lines));
+  ReaderSink sink(/*buffered=*/true);
+  std::ostream out(&sink);
+  svc::ServiceOptions opts;
+  opts.workers = 2;
+  svc::SweepService service(opts);
+  service.serve(in, out);
+  EXPECT_LT(sink.syncs(), lines.size() - 1);
 }
 
 // -- heatmap ----------------------------------------------------------------

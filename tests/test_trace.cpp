@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "armbar/obs/perfetto.hpp"
 #include "armbar/sim/engine.hpp"
 #include "armbar/sim/memory.hpp"
 #include "armbar/sim/trace.hpp"
@@ -103,8 +104,8 @@ TEST(Trace, CsvAndChromeExports) {
   const std::string csv = tracer.to_csv();
   EXPECT_NE(csv.find("start_ps,finish_ps,core,line,kind"), std::string::npos);
   EXPECT_NE(csv.find("1000,2000,3,7,write"), std::string::npos);
-  const std::string json = tracer.to_chrome_json();
-  EXPECT_EQ(json.front(), '[');
+  const std::string json = obs::to_perfetto_json(tracer);
+  EXPECT_EQ(json.front(), '{');
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   EXPECT_NE(json.find("\"tid\":3"), std::string::npos);
   EXPECT_NE(json.find("write L7"), std::string::npos);
