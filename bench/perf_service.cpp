@@ -130,17 +130,13 @@ int main(int argc, char** argv) {
   PassTiming oneshot, cold, warm;
   int effective_workers = 0;
   // Robustness counters summed over every pass.  The benchmark stream is
-  // clean — no deadlines, no chaos, no overload — so each must stay zero;
-  // CI ratchets that with perf_gate --expect-equal.
-  std::uint64_t shed = 0, retries = 0, deadline_errors = 0, respawns = 0,
-                requeued = 0, worker_lost = 0;
+  // clean — no deadlines, no overload — so each must stay zero; CI
+  // ratchets that with perf_gate --expect-equal.
+  std::uint64_t shed = 0, retries = 0, deadline_errors = 0;
   const auto absorb = [&](const svc::ServiceStats& s) {
     shed += s.shed;
     retries += s.retries;
     deadline_errors += s.deadline_errors;
-    respawns += s.respawns;
-    requeued += s.requeued;
-    worker_lost += s.worker_lost;
   };
 
   for (int rep = 0; rep < reps; ++rep) {
@@ -234,12 +230,6 @@ int main(int argc, char** argv) {
                static_cast<unsigned long long>(retries));
   std::fprintf(f, "  \"deadline_errors\": %llu,\n",
                static_cast<unsigned long long>(deadline_errors));
-  std::fprintf(f, "  \"respawns\": %llu,\n",
-               static_cast<unsigned long long>(respawns));
-  std::fprintf(f, "  \"requeued\": %llu,\n",
-               static_cast<unsigned long long>(requeued));
-  std::fprintf(f, "  \"worker_lost\": %llu,\n",
-               static_cast<unsigned long long>(worker_lost));
   std::fprintf(f, "  \"history\": [\n");
   for (std::size_t i = 0; i < history.size(); ++i)
     std::fprintf(f, "    %s%s\n", history[i].c_str(),

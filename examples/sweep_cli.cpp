@@ -150,8 +150,6 @@ int main(int argc, char** argv) {
           << "                 over budget becomes a JobError{kind:deadline}\n"
           << "  --max-attempts N daemon: attempts per job for transient\n"
           << "                 failures (default 1 = no retries)\n"
-          << "  --heartbeat-ms H daemon: supersede a worker stuck on one job\n"
-          << "                 longer than H ms and re-queue its jobs\n"
           << "  --max-inflight N daemon: shed jobs above N in flight\n"
           << "                 (JobError{kind:shed}; 0 = never shed)\n";
       return 0;
@@ -178,7 +176,6 @@ int main(int argc, char** argv) {
         opts.job_deadline_ms = args.get_double_or("deadline-ms", 0.0);
         opts.max_attempts =
             static_cast<int>(args.get_int_or("max-attempts", 1));
-        opts.heartbeat_ms = args.get_double_or("heartbeat-ms", 0.0);
         opts.max_inflight =
             static_cast<std::uint64_t>(args.get_int_or("max-inflight", 0));
         svc::SweepService service(opts);
@@ -188,15 +185,10 @@ int main(int argc, char** argv) {
                   << stats.cache_misses << " miss(es), "
                   << stats.jobs_per_sec() << " jobs/s ("
                   << service.workers() << " workers)\n";
-        if (stats.shed + stats.retries + stats.deadline_errors +
-                stats.respawns + stats.requeued + stats.worker_lost >
-            0)
+        if (stats.shed + stats.retries + stats.deadline_errors > 0)
           std::cerr << "daemon robustness: " << stats.shed << " shed, "
                     << stats.retries << " retrie(s), "
-                    << stats.deadline_errors << " deadline error(s), "
-                    << stats.respawns << " respawn(s), " << stats.requeued
-                    << " requeued, " << stats.worker_lost
-                    << " worker-lost\n";
+                    << stats.deadline_errors << " deadline error(s)\n";
       } else {
         stats = svc::SweepService::run_oneshot(*in, std::cout, workers);
         std::cerr << "one-shot: " << stats.jobs << " job(s), " << stats.failed

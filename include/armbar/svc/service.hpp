@@ -2,12 +2,11 @@
 // armbar::svc — the long-running "barrier lab" sweep service.
 //
 // sweep_cli's one-shot path answers one job list and exits; this module
-// is the sustained-throughput counterpart (the ROADMAP's
-// millions-of-requests path): a pool of persistent workers fed through
-// lock-free SPSC rings by one intake thread, machine/topology/latency
-// tables resolved once per worker and reused across jobs, and a sharded
-// result cache keyed on every simulation input so a repeated cell costs a
-// hash lookup instead of a simulation.
+// is the sustained-throughput counterpart: a pool of persistent workers
+// fed through lock-free SPSC rings by one intake thread,
+// machine/topology/latency tables resolved once per worker and reused
+// across jobs, and a sharded result cache keyed on every simulation input
+// so a repeated cell costs a hash lookup instead of a simulation.
 //
 // Streaming contract (docs/SERVICE.md): intake reads JSONL job lines
 // (blank lines and '#' comments skipped), emits one JSONL result line per
@@ -29,11 +28,6 @@
 //  * explicit load shedding — above max_inflight, intake converts a job
 //    into a JobError{kind:"shed"} record immediately; nothing is ever
 //    silently dropped;
-//  * worker supervision — a worker that throws or stalls past
-//    heartbeat_ms is torn down and respawned and its in-flight jobs are
-//    re-queued up to max_requeues times, after which they become
-//    JobError{kind:"worker-lost"} records (epoch-guarded publication
-//    keeps a superseded worker from double-emitting);
 //  * graceful drain — request_stop() (or EOF) stops intake, finishes
 //    in-flight jobs, flushes the reorder window, and emits the final
 //    summary + stats;
@@ -42,7 +36,6 @@
 //    EOF mid-line still yields exactly one record for the partial line.
 
 #include <cstdint>
-#include <functional>
 #include <iosfwd>
 #include <memory>
 #include <string>
@@ -51,15 +44,6 @@
 #include "armbar/svc/job.hpp"
 
 namespace armbar::svc {
-
-/// Test-only fault injection for the chaos harness (tests/test_chaos.cpp):
-/// hooks run on worker threads at the named points.  A hook that throws
-/// kills its worker (supervision must recover); one that sleeps past the
-/// heartbeat stalls it.  Production configs leave these empty.
-struct ChaosHooks {
-  /// Called on the owning worker just before job @p seq is processed.
-  std::function<void(std::uint64_t seq)> before_job;
-};
 
 struct ServiceOptions {
   /// Worker threads; 0 = hardware concurrency.
@@ -83,16 +67,6 @@ struct ServiceOptions {
   /// never retried.  Backoff between attempts is exponential with full
   /// jitter.  Must be >= 1; 1 = no retries (the default).
   int max_attempts = 1;
-  /// Worker supervision: a worker busy on one job for longer than this is
-  /// presumed wedged — it is superseded (its late result discarded), its
-  /// in-flight jobs are re-queued, and a fresh worker takes over the
-  /// name.  0 disables stall detection (crashed workers are still
-  /// replaced whenever chaos hooks are installed).  Must exceed the
-  /// honest worst-case job time, or set job_deadline_ms below it.
-  double heartbeat_ms = 0.0;
-  /// Times one job may be re-queued after losing its worker before it is
-  /// reported as JobError{kind:"worker-lost"}.
-  int max_requeues = 2;
   /// Load shedding: with more than this many jobs in flight, intake
   /// immediately emits JobError{kind:"shed"} for new jobs instead of
   /// queueing them.  0 = never shed (intake blocks on the reorder
@@ -101,8 +75,6 @@ struct ServiceOptions {
   /// Longest accepted input line; longer lines become
   /// JobError{kind:"parse-error"} records without buffering the excess.
   std::size_t max_line_bytes = kDefaultMaxLineBytes;
-  /// Test-only chaos hooks; empty in production.
-  ChaosHooks chaos;
 
   static constexpr std::size_t kDefaultMaxLineBytes = 64 * 1024;
 };
@@ -117,9 +89,6 @@ struct ServiceStats {
   std::uint64_t shed = 0;        ///< jobs rejected at intake (kind "shed")
   std::uint64_t retries = 0;     ///< transient re-attempts inside workers
   std::uint64_t deadline_errors = 0;  ///< jobs whose final record timed out
-  std::uint64_t respawns = 0;    ///< workers torn down and replaced
-  std::uint64_t requeued = 0;    ///< in-flight jobs re-queued after a respawn
-  std::uint64_t worker_lost = 0;  ///< jobs abandoned after max_requeues
   double wall_s = 0.0;
   double jobs_per_sec() const noexcept {
     return wall_s > 0.0 ? static_cast<double>(jobs) / wall_s : 0.0;

@@ -77,7 +77,7 @@ DOCUMENTED_FLAGS = {
                                "--link-flap", "--fault-seed", "--jobs",
                                "--daemon", "--workers", "--no-cache",
                                "--deadline-ms", "--max-attempts",
-                               "--heartbeat-ms", "--max-inflight",
+                               "--max-inflight",
                                "--heatmap", "--hier-geometry",
                                "--hier-ratios"]),
     "autotune_explain": ("examples", ["--prune"]),

@@ -273,43 +273,19 @@ struct SweepService::Impl {
 
   using Ring = SpscRing<std::unique_ptr<Request>>;
 
-  /// One worker thread's job ring and doorbell.  Every spawn gets a fresh
-  /// inbox, so a superseded worker (which keeps its own reference) can be
-  /// abandoned without racing the inbox installed for its successor.
-  struct Inbox {
-    explicit Inbox(std::size_t capacity) : ring(capacity) {}
+  /// One worker thread with its job ring and doorbell.
+  struct Worker {
+    explicit Worker(std::size_t ring_capacity) : ring(ring_capacity) {}
     Ring ring;
     /// Set while the worker sleeps on `bell` (or is about to).
     std::atomic<bool> parked{false};
     std::atomic<std::uint32_t> bell{0};
+    std::thread thread;
 
     void wake() {
       bell.fetch_add(1, std::memory_order_release);
       bell.notify_one();
     }
-  };
-
-  struct Worker {
-    explicit Worker(std::size_t ring_capacity)
-        : inbox(std::make_shared<Inbox>(ring_capacity)) {}
-    std::shared_ptr<Inbox> inbox;
-    std::thread thread;
-    /// Bumped (under pub_mu) each time the worker is superseded; the
-    /// thread's captured epoch going stale tells it to discard its work
-    /// and exit, and gates publication so a zombie never double-emits.
-    std::atomic<std::uint64_t> epoch{0};
-    /// Set by the thread itself (under pub_mu, epoch-checked) when an
-    /// exception escapes a job: the supervisor joins and respawns it.
-    std::atomic<bool> dead{false};
-    /// steady_clock ns when the current job started; 0 = idle.  Only
-    /// maintained when supervision is on.
-    std::atomic<std::int64_t> busy_since_ns{0};
-  };
-
-  /// A superseded worker's thread, still finishing a stalled job.
-  struct Zombie {
-    std::thread thread;
-    std::shared_ptr<Inbox> inbox;
   };
 
   explicit Impl(ServiceOptions o)
@@ -318,18 +294,12 @@ struct SweepService::Impl {
                      ? o.workers
                      : static_cast<int>(std::max(
                            1u, std::thread::hardware_concurrency()))),
-        supervised(o.heartbeat_ms > 0.0 ||
-                   static_cast<bool>(o.chaos.before_job)),
         cache(o.cache_shards) {
     if (opts.max_attempts < 1)
       throw std::invalid_argument("ServiceOptions: max_attempts must be >= 1");
-    if (opts.max_requeues < 0)
-      throw std::invalid_argument("ServiceOptions: max_requeues must be >= 0");
     if (!(opts.job_deadline_ms >= 0.0))
       throw std::invalid_argument(
           "ServiceOptions: job_deadline_ms must be >= 0");
-    if (!(opts.heartbeat_ms >= 0.0))
-      throw std::invalid_argument("ServiceOptions: heartbeat_ms must be >= 0");
     if (opts.max_line_bytes < 16)
       throw std::invalid_argument(
           "ServiceOptions: max_line_bytes must be >= 16");
@@ -343,48 +313,25 @@ struct SweepService::Impl {
     workers.reserve(static_cast<std::size_t>(nworkers));
     for (int w = 0; w < nworkers; ++w)
       workers.push_back(std::make_unique<Worker>(opts.ring_capacity));
-    for (int w = 0; w < nworkers; ++w)
-      start_worker(*workers[static_cast<std::size_t>(w)]);
+    for (auto& w : workers)
+      w->thread = std::thread([this, &self = *w] { worker_loop(self); });
   }
 
   ~Impl() {
     stop.store(true, std::memory_order_release);
-    for (auto& w : workers) w->inbox->wake();
-    for (Zombie& z : zombies) z.inbox->wake();
+    for (auto& w : workers) w->wake();
     for (auto& w : workers)
       if (w->thread.joinable()) w->thread.join();
-    for (Zombie& z : zombies)
-      if (z.thread.joinable()) z.thread.join();
   }
 
-  static std::int64_t now_ns() {
-    return std::chrono::duration_cast<std::chrono::nanoseconds>(
-               std::chrono::steady_clock::now().time_since_epoch())
-        .count();
-  }
-
-  void start_worker(Worker& w) {
-    auto inbox = w.inbox;
-    const std::uint64_t my_epoch = w.epoch.load(std::memory_order_relaxed);
-    w.thread = std::thread(
-        [this, &w, inbox, my_epoch] { worker_loop(w, *inbox, my_epoch); });
-  }
-
-  bool superseded(const Worker& self, std::uint64_t my_epoch) const {
-    return supervised &&
-           self.epoch.load(std::memory_order_acquire) != my_epoch;
-  }
-
-  void worker_loop(Worker& self, Inbox& inbox, std::uint64_t my_epoch) {
+  void worker_loop(Worker& self) {
     // Worker-private pointer cache in front of the shared registry.
     std::unordered_map<std::string, const topo::Machine*> local_machines;
     int idle = 0;
     for (;;) {
       std::unique_ptr<Request> req;
-      while (!inbox.ring.try_pop(req)) {
+      while (!self.ring.try_pop(req)) {
         if (stop.load(std::memory_order_acquire)) return;
-        // Superseded while idle: a fresh worker owns the name.
-        if (superseded(self, my_epoch)) return;
         // Spin briefly, then yield, then sleep on the doorbell: a daemon
         // waiting for the next job batch must not burn a core.
         if (idle < 64) {
@@ -394,60 +341,40 @@ struct SweepService::Impl {
           ++idle;
           std::this_thread::yield();
         } else {
-          park(self, inbox, my_epoch);
+          park(self);
         }
       }
       idle = 0;
-      if (supervised) {
-        if (superseded(self, my_epoch))
-          return;  // superseded: this request was already re-queued
-        self.busy_since_ns.store(now_ns(), std::memory_order_release);
-      }
-      try {
-        if (opts.chaos.before_job) opts.chaos.before_job(req->job);
-        process(*req, local_machines, self, my_epoch);
-      } catch (...) {
-        // An escaped exception (in practice: a chaos-hook kill) ends this
-        // worker.  Mark it dead — epoch-checked under pub_mu so a zombie
-        // that crashes late cannot condemn its already-running successor.
-        std::lock_guard<std::mutex> lk(pub_mu);
-        if (self.epoch.load(std::memory_order_relaxed) == my_epoch)
-          self.dead.store(true, std::memory_order_release);
-        return;
-      }
-      if (supervised && !superseded(self, my_epoch))
-        self.busy_since_ns.store(0, std::memory_order_release);
+      process(*req, local_machines);
     }
   }
 
-  /// Sleep until the doorbell rings: a push, supersession, or shutdown.
-  /// The ticket is read first, so a ring that lands after it makes
-  /// wait() return at once.
-  void park(const Worker& self, Inbox& inbox, std::uint64_t my_epoch) {
-    const std::uint32_t ticket = inbox.bell.load(std::memory_order_acquire);
-    inbox.parked.store(true, std::memory_order_relaxed);
+  /// Sleep until the doorbell rings: a push or shutdown.  The ticket is
+  /// read first, so a ring that lands after it makes wait() return at
+  /// once.
+  void park(Worker& self) {
+    const std::uint32_t ticket = self.bell.load(std::memory_order_acquire);
+    self.parked.store(true, std::memory_order_relaxed);
     // Dekker pair with notify_parked(): this side stores `parked`, then
     // looks at the ring; intake stores the ring tail, then looks at
     // `parked`.  A full fence between each store and load means at least
     // one side sees the other's store, so no push is slept through.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (inbox.ring.empty() && !stop.load(std::memory_order_acquire) &&
-        !superseded(self, my_epoch))
-      inbox.bell.wait(ticket, std::memory_order_acquire);
-    inbox.parked.store(false, std::memory_order_relaxed);
+    if (self.ring.empty() && !stop.load(std::memory_order_acquire))
+      self.bell.wait(ticket, std::memory_order_acquire);
+    self.parked.store(false, std::memory_order_relaxed);
   }
 
   /// Intake, after each push: wake the worker only if it is parked.
-  static void notify_parked(Inbox& inbox) {
+  static void notify_parked(Worker& w) {
     // Dekker pair with park(); see there.
     std::atomic_thread_fence(std::memory_order_seq_cst);
-    if (inbox.parked.load(std::memory_order_relaxed)) inbox.wake();
+    if (w.parked.load(std::memory_order_relaxed)) w.wake();
   }
 
   void process(const Request& req,
                std::unordered_map<std::string, const topo::Machine*>&
-                   local_machines,
-               Worker& self, std::uint64_t my_epoch) {
+                   local_machines) {
     std::shared_ptr<const CachedResult> entry;
     try {
       const JobSpec spec = parse_job_line(req.line);
@@ -493,15 +420,7 @@ struct SweepService::Impl {
       err->tail = render_error_tail("parse-error", e.what(), "");
       entry = std::move(err);
     }
-    if (supervised) {
-      // Epoch-guarded: a superseded worker's late result is discarded —
-      // the supervisor already re-queued (or re-reported) this seq.
-      std::lock_guard<std::mutex> lk(pub_mu);
-      if (self.epoch.load(std::memory_order_relaxed) != my_epoch) return;
-      post(req.seq, std::move(entry));
-    } else {
-      post(req.seq, std::move(entry));
-    }
+    post(req.seq, std::move(entry));
     // Dekker pair with intake's read window (serve()): this side stores
     // `published` (in post), then loads `intake_reading`; intake stores
     // `intake_reading`, then loads `published` (in drain_locked).  Either
@@ -607,19 +526,10 @@ struct SweepService::Impl {
 
   ServiceOptions opts;
   int nworkers;
-  /// Supervision (epoch guards, busy tracking, pub_mu on publish) is paid
-  /// only when stall detection or chaos hooks are requested; the default
-  /// configuration keeps the original lock-free publish path.
-  bool supervised;
   ResultCache cache;
   MachineRegistry registry;
   std::vector<Slot> slots;
   std::vector<std::unique_ptr<Worker>> workers;
-  /// Serializes publication against supersession when supervised.
-  std::mutex pub_mu;
-  /// Superseded-but-alive (stalled) workers; joined at destruction.
-  /// Touched only by the intake thread and the destructor.
-  std::vector<Zombie> zombies;
   std::atomic<bool> stop{false};
   std::atomic<bool> stop_requested{false};
   std::atomic<std::uint64_t> retries{0};
@@ -665,8 +575,6 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   const std::uint64_t deadline0 =
       impl.deadline_errors.load(std::memory_order_relaxed);
   const std::size_t window = impl.slots.size();
-  const std::size_t mask = window - 1;
-  const bool supervised = impl.supervised;
   const auto uworkers = static_cast<std::size_t>(impl.nworkers);
 
   // Sequence numbers run on across batches; base is this batch's job 0.
@@ -675,143 +583,20 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   std::uint64_t emitted = base;  // intake's view of impl.emitted
   ServiceStats stats;
 
-  // Supervision bookkeeping (intake-thread-private; sized only when on).
-  // outstanding[w]: seqs handed to worker w, not yet published.
-  // worker_of/line_of/requeue_count: per reorder-window slot, valid while
-  // its seq is in flight; worker_of -1 marks a directly-published seq.
-  std::vector<std::deque<std::uint64_t>> outstanding(
-      supervised ? uworkers : 0);
-  std::vector<int> worker_of(supervised ? window : 0, -1);
-  std::vector<int> requeue_count(supervised ? window : 0, 0);
-  std::vector<std::string> line_of(supervised ? window : 0);
-  std::deque<std::uint64_t> requeue_q;  // orphans awaiting a new worker
-  std::size_t rr = 0;                   // round-robin cursor for re-queues
-
-  const auto error_entry = [](const std::string& kind,
-                              const std::string& message) {
-    auto e = std::make_shared<CachedResult>();
-    e->failed = true;
-    e->tail = render_error_tail(kind, message, "");
-    return e;
-  };
-
   // Emit what is ready, then catch intake's view up with every record
-  // that went out — on this thread or a worker — and retire those seqs
-  // from the supervision bookkeeping.
+  // that went out, on this thread or a worker.
   const auto drain = [&] {
     impl.try_drain(/*worker=*/false);
-    const std::uint64_t upto = impl.emitted.load(std::memory_order_acquire);
-    if (supervised) {
-      for (; emitted < upto; ++emitted) {
-        const std::size_t idx = emitted & mask;
-        const int w = worker_of[idx];
-        if (w < 0) continue;
-        // Re-queues break per-worker FIFO order, so find-erase rather
-        // than popping the front.
-        auto& dq = outstanding[static_cast<std::size_t>(w)];
-        const auto it = std::find(dq.begin(), dq.end(), emitted);
-        if (it != dq.end()) dq.erase(it);
-        worker_of[idx] = -1;
-      }
-    }
-    emitted = upto;
+    emitted = impl.emitted.load(std::memory_order_acquire);
   };
 
-  // Replace every dead or stalled worker: bump its epoch (under pub_mu,
-  // so its late publishes are discarded), recycle the thread, install a
-  // fresh inbox, respawn, and move its unfinished seqs to the re-queue.
-  const auto supervise = [&] {
-    if (!supervised) return;
-    const std::int64_t now = Impl::now_ns();
-    for (std::size_t w = 0; w < uworkers; ++w) {
-      Impl::Worker& wk = *impl.workers[w];
-      const bool dead = wk.dead.load(std::memory_order_acquire);
-      bool stalled = false;
-      if (!dead && impl.opts.heartbeat_ms > 0.0) {
-        const std::int64_t busy =
-            wk.busy_since_ns.load(std::memory_order_acquire);
-        stalled = busy != 0 &&
-                  static_cast<double>(now - busy) >
-                      impl.opts.heartbeat_ms * 1e6;
-      }
-      if (!dead && !stalled) continue;
-      ++stats.respawns;
-      {
-        std::lock_guard<std::mutex> lk(impl.pub_mu);
-        wk.epoch.fetch_add(1, std::memory_order_relaxed);
-      }
-      // A parked thread wakes, sees the stale epoch and exits.  A dead
-      // worker's thread has returned (or is about to); a stalled one is
-      // still running — park it with the zombies and let it exit on its
-      // own when it notices the stale epoch.
-      wk.inbox->wake();
-      if (wk.dead.load(std::memory_order_acquire))
-        wk.thread.join();
-      else
-        impl.zombies.push_back({std::move(wk.thread), wk.inbox});
-      wk.dead.store(false, std::memory_order_relaxed);
-      wk.busy_since_ns.store(0, std::memory_order_relaxed);
-      wk.inbox = std::make_shared<Impl::Inbox>(impl.opts.ring_capacity);
-      impl.start_worker(wk);
-      for (const std::uint64_t seq : outstanding[w]) {
-        const std::size_t idx = seq & mask;
-        if (impl.slots[idx].published.load(std::memory_order_acquire) ==
-            seq + 1) {
-          worker_of[idx] = -1;  // published before supersession: done
-          continue;
-        }
-        requeue_q.push_back(seq);
-      }
-      outstanding[w].clear();
-    }
-  };
-
-  // Hand orphaned seqs to live workers (round-robin); past the re-queue
-  // budget they become worker-lost records.  Leaves seqs queued when no
-  // ring has space — the caller's tick loop retries after draining.
-  const auto pump_requeues = [&] {
-    while (!requeue_q.empty()) {
-      const std::uint64_t seq = requeue_q.front();
-      const std::size_t idx = seq & mask;
-      if (requeue_count[idx] >= impl.opts.max_requeues) {
-        worker_of[idx] = -1;
-        impl.post(seq,
-                  error_entry("worker-lost",
-                              "job lost its worker " +
-                                  std::to_string(requeue_count[idx] + 1) +
-                                  " times; re-queue budget exhausted"));
-        ++stats.worker_lost;
-        requeue_q.pop_front();
-        continue;
-      }
-      auto req = std::make_unique<Impl::Request>();
-      req->seq = seq;
-      req->job = seq - base;
-      req->line = line_of[idx];
-      bool pushed = false;
-      for (std::size_t k = 0; k < uworkers; ++k) {
-        const std::size_t cand = (rr + k) % uworkers;
-        Impl::Worker& cw = *impl.workers[cand];
-        if (cw.dead.load(std::memory_order_acquire)) continue;
-        if (!cw.inbox->ring.try_push(std::move(req))) continue;
-        Impl::notify_parked(*cw.inbox);
-        ++requeue_count[idx];
-        ++stats.requeued;
-        worker_of[idx] = static_cast<int>(cand);
-        outstanding[cand].push_back(seq);
-        rr = cand + 1;
-        pushed = true;
-        break;
-      }
-      if (!pushed) return;  // every live ring is full; retry next tick
-      requeue_q.pop_front();
-    }
-  };
-
-  const auto tick = [&] {
+  // Answer the next job with an error record without queueing it.
+  const auto post_error = [&](std::string tail) {
+    auto e = std::make_shared<CachedResult>();
+    e->failed = true;
+    e->tail = std::move(tail);
+    impl.post(submitted++, std::move(e));
     drain();
-    supervise();
-    pump_requeues();
   };
 
   util::SpinWait waiter;
@@ -833,70 +618,48 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
         read_job_line(in, line, impl.opts.max_line_bytes);
     if (may_block) impl.intake_reading.store(false, std::memory_order_seq_cst);
     if (st == LineStatus::kEof) break;
-    if (st == LineStatus::kOversized) {
-      if (is_comment_prefix(line)) continue;
-      while (submitted - emitted >= window) {
-        tick();
-        waiter.step();
-      }
-      impl.post(submitted, [&] {
-        auto e = std::make_shared<CachedResult>();
-        e->failed = true;
-        e->tail = oversized_tail(impl.opts.max_line_bytes);
-        return e;
-      }());
-      ++submitted;
-      drain();
-      continue;
-    }
-    if (!is_job_line(line)) continue;
+    const bool oversized = st == LineStatus::kOversized;
+    if (oversized ? is_comment_prefix(line) : !is_job_line(line)) continue;
     // Backpressure: never have more than one reorder window in flight.
     while (submitted - emitted >= window) {
-      tick();
+      drain();
       waiter.step();
+    }
+    if (oversized) {
+      post_error(oversized_tail(impl.opts.max_line_bytes));
+      continue;
     }
     // Load shedding: above max_inflight, answer immediately with a shed
     // record instead of queueing (nothing is ever silently dropped).
     if (impl.opts.max_inflight > 0 &&
         submitted - emitted >= impl.opts.max_inflight) {
-      impl.post(submitted,
-                error_entry("shed", "intake over capacity: " +
-                                        std::to_string(submitted - emitted) +
-                                        " jobs in flight (max_inflight " +
-                                        std::to_string(impl.opts.max_inflight) +
-                                        ")"));
       ++stats.shed;
-      ++submitted;
-      drain();
+      post_error(render_error_tail(
+          "shed",
+          "intake over capacity: " + std::to_string(submitted - emitted) +
+              " jobs in flight (max_inflight " +
+              std::to_string(impl.opts.max_inflight) + ")",
+          ""));
       continue;
     }
     auto req = std::make_unique<Impl::Request>();
     req->seq = submitted;
     req->job = submitted - base;
     req->line = std::move(line);
-    const std::size_t target = (submitted - base) % uworkers;
-    const std::size_t idx = submitted & mask;
-    if (supervised) line_of[idx] = req->line;
-    // Re-fetch the inbox each attempt: supervise() may have respawned the
-    // target with a fresh one.
-    while (!impl.workers[target]->inbox->ring.try_push(std::move(req))) {
-      tick();
+    Impl::Worker& target = *impl.workers[(submitted - base) % uworkers];
+    while (!target.ring.try_push(std::move(req))) {
+      drain();
       waiter.step();
     }
-    Impl::notify_parked(*impl.workers[target]->inbox);
-    if (supervised) {
-      worker_of[idx] = static_cast<int>(target);
-      requeue_count[idx] = 0;
-      outstanding[target].push_back(submitted);
-    }
+    Impl::notify_parked(target);
     waiter.reset();
     ++submitted;
-    tick();
+    drain();
   }
   // Graceful drain: intake is closed; finish everything in flight and
   // flush the reorder window before the summary.
   while (emitted < submitted) {
-    tick();
+    drain();
     waiter.step();
   }
 

@@ -317,19 +317,15 @@ TEST(ServiceIdentity, DaemonMatchesOneshotAtEveryWorkerCount) {
 
   EXPECT_EQ(oneshot_output(jobs, 4), reference)
       << "one-shot output depends on worker count";
-  for (const double heartbeat_ms : {0.0, 60000.0})  // plain, supervised
-    for (const int workers : {1, 4, 0}) {  // 0 = hardware concurrency
-      svc::ServiceOptions opts;
-      opts.workers = workers;
-      opts.heartbeat_ms = heartbeat_ms;
-      EXPECT_EQ(daemon_output(jobs, opts), reference)
-          << "daemon diverged at workers=" << workers
-          << ", heartbeat_ms=" << heartbeat_ms;
-      opts.use_cache = false;
-      EXPECT_EQ(daemon_output(jobs, opts), reference)
-          << "uncached daemon diverged at workers=" << workers
-          << ", heartbeat_ms=" << heartbeat_ms;
-    }
+  for (const int workers : {1, 4, 0}) {  // 0 = hardware concurrency
+    svc::ServiceOptions opts;
+    opts.workers = workers;
+    EXPECT_EQ(daemon_output(jobs, opts), reference)
+        << "daemon diverged at workers=" << workers;
+    opts.use_cache = false;
+    EXPECT_EQ(daemon_output(jobs, opts), reference)
+        << "uncached daemon diverged at workers=" << workers;
+  }
 }
 
 TEST(ServiceIdentity, TinyRingStillOrdersCorrectly) {
@@ -460,17 +456,11 @@ TEST(ServiceOptionsValidation, RejectsNonsense) {
   o1.max_attempts = 0;
   bad(o1);
   svc::ServiceOptions o2;
-  o2.max_requeues = -1;
+  o2.job_deadline_ms = -1.0;
   bad(o2);
   svc::ServiceOptions o3;
-  o3.job_deadline_ms = -1.0;
+  o3.max_line_bytes = 8;
   bad(o3);
-  svc::ServiceOptions o4;
-  o4.heartbeat_ms = -0.5;
-  bad(o4);
-  svc::ServiceOptions o5;
-  o5.max_line_bytes = 8;
-  bad(o5);
 }
 
 TEST(ServiceStatsCheck, AccountingMatchesStream) {
@@ -627,7 +617,6 @@ void expect_prompt_records(const svc::ServiceOptions& opts, bool buffered) {
     out.flush();
     EXPECT_FALSE(source.timed_out())
         << pass << " pass, workers=" << opts.workers
-        << ", heartbeat_ms=" << opts.heartbeat_ms
         << ": a record waited for the next input line";
     EXPECT_EQ(sink.text(), reference)
         << pass << " pass, workers=" << opts.workers;
@@ -638,13 +627,11 @@ void expect_prompt_records(const svc::ServiceOptions& opts, bool buffered) {
 }
 
 TEST(ServiceLatency, RecordLeavesBeforeNextLine) {
-  for (const double heartbeat_ms : {0.0, 60000.0})  // plain, supervised
-    for (const int workers : {1, 2, 4}) {
-      svc::ServiceOptions opts;
-      opts.workers = workers;
-      opts.heartbeat_ms = heartbeat_ms;
-      expect_prompt_records(opts, /*buffered=*/false);
-    }
+  for (const int workers : {1, 2, 4}) {
+    svc::ServiceOptions opts;
+    opts.workers = workers;
+    expect_prompt_records(opts, /*buffered=*/false);
+  }
 }
 
 TEST(ServiceLatency, FlushesWhenIntakeMayBlock) {
