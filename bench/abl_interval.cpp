@@ -72,6 +72,5 @@ int main(int argc, char** argv) {
                     "episode (>50% share) but not at 32us (<50%)",
          first_gcc_share > 0.5 && last_gcc_share < 0.5});
   }
-  bench::report_checks(checks);
-  return 0;
+  return bench::report_checks(checks) == 0 ? 0 : 1;
 }

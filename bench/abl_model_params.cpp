@@ -85,6 +85,5 @@ int main(int argc, char** argv) {
   checks.push_back(
       {"model and simulator agree on most of the regime map (>= 6/9)",
        agreements >= 6});
-  bench::report_checks(checks);
-  return 0;
+  return bench::report_checks(checks) == 0 ? 0 : 1;
 }

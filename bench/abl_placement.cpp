@@ -61,6 +61,5 @@ int main(int argc, char** argv) {
                     "than MCS",
          opt_penalty < mcs_penalty});
   }
-  bench::report_checks(checks);
-  return 0;
+  return bench::report_checks(checks) == 0 ? 0 : 1;
 }

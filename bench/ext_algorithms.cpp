@@ -67,6 +67,5 @@ int main(int argc, char** argv) {
                     "at 64 threads",
          ring64 > hybrid64 && ring64 > nway64 && ring64 > dis64});
   }
-  bench::report_checks(checks);
-  return 0;
+  return bench::report_checks(checks) == 0 ? 0 : 1;
 }

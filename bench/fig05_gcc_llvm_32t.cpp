@@ -47,6 +47,5 @@ int main(int argc, char** argv) {
   }
   checks.push_back({"ThunderX2 is the worst GCC case (paper: ~8x Xeon)",
                     rows[1].gcc > rows[0].gcc && rows[1].gcc / xeon_gcc > 3});
-  bench::report_checks(checks);
-  return 0;
+  return bench::report_checks(checks) == 0 ? 0 : 1;
 }

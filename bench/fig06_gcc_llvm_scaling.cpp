@@ -54,6 +54,5 @@ int main(int argc, char** argv) {
                cache.us(machines[1], Algo::kHypercube, 64) >
            cache.us(machines[0], Algo::kGccSense, 64) /
                cache.us(machines[0], Algo::kHypercube, 64)});
-  bench::report_checks(checks);
-  return 0;
+  return bench::report_checks(checks) == 0 ? 0 : 1;
 }

@@ -84,11 +84,11 @@ int main(int argc, char** argv) {
       {"Phytium: DIS steps up when P crosses 16 (rounds increase)",
        cache.us(machines[0], Algo::kDissemination, 17) >
            cache.us(machines[0], Algo::kDissemination, 16)});
-  bench::report_checks(checks);
+  const int failures = bench::report_checks(checks);
 
   // --trace=<file> / --metrics=<file>: phase-resolved observability for
   // the figure's headline configuration (STOUR at 64 threads on the
   // Phytium 2000+).
   bench::emit_observability(args, machines[0], Algo::kStaticFway, 64);
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -59,10 +59,10 @@ int main(int argc, char** argv) {
   checks.push_back(
       {"Kunpeng920 padding speedup exceeds 1.1x (paper: up to 1.35x)",
        kp_speedup > 1.1});
-  bench::report_checks(checks);
+  const int failures = bench::report_checks(checks);
 
   // --trace=<file> / --metrics=<file>: observe the arrival-optimized
   // variant (padded f-way) at full scale on the Phytium 2000+.
   bench::emit_observability(args, machines[0], Algo::kStaticFwayPadded, 64);
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

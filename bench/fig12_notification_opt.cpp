@@ -71,11 +71,11 @@ int main(int argc, char** argv) {
         {m.name() + ": global and tree meet at small thread counts",
          std::abs(g4 - b4) <= 0.35 * std::max(g4, b4)});
   }
-  bench::report_checks(checks);
+  const int failures = bench::report_checks(checks);
 
   // --trace=<file> / --metrics=<file>: observe the fully optimized
   // barrier (padded 4-way arrival + NUMA-aware wake-up) at full scale.
   bench::emit_observability(args, machines[0], Algo::kOptimized, 64,
                             opts(NotifyPolicy::kNumaTree, machines[0]));
-  return 0;
+  return failures == 0 ? 0 : 1;
 }

@@ -57,6 +57,5 @@ int main(int argc, char** argv) {
              ": fan-in 4 is optimal (or ties within 2%; paper Figure 13)",
          measured[mi][at4] <= measured[mi][best] * 1.02});
   }
-  bench::report_checks(checks);
-  return 0;
+  return bench::report_checks(checks) == 0 ? 0 : 1;
 }

@@ -60,6 +60,5 @@ int main(int argc, char** argv) {
       {"eq.(2) window: 2.718 <= f* <= 3.591 over alpha in [0,1]",
        model::optimal_fanin_continuous(0.0) >= 2.718 - 1e-3 &&
            model::optimal_fanin_continuous(1.0) <= 3.592});
-  bench::report_checks(checks);
-  return 0;
+  return bench::report_checks(checks) == 0 ? 0 : 1;
 }

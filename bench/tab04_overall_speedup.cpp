@@ -93,6 +93,5 @@ int main(int argc, char** argv) {
   checks.push_back(
       {"geomean speedup over state-of-the-art is modest (paper: 1.6x)",
        util::geomean(g_sota) > 1.1 && util::geomean(g_sota) < 4.0});
-  bench::report_checks(checks);
-  return 0;
+  return bench::report_checks(checks) == 0 ? 0 : 1;
 }

@@ -45,10 +45,6 @@
 // The paper's optimized barrier.
 #include "armbar/core/optimized.hpp"
 
-// Barrier-based collectives and the mini fork-join runtime.
-#include "armbar/coll/collectives.hpp"
-#include "armbar/rt/runtime.hpp"
-
 // Simulator.
 #include "armbar/sim/engine.hpp"
 #include "armbar/sim/memory.hpp"

@@ -2,9 +2,7 @@
 // Thread team: a reusable pool of worker threads for running barrier
 // episodes, tests, and benchmarks.
 
-#include <chrono>
 #include <functional>
-#include <vector>
 
 namespace armbar {
 
@@ -31,21 +29,6 @@ class ThreadTeam {
   /// Run fn(tid) on all workers; returns when every worker has completed.
   /// Rethrows the first worker exception, if any.
   void run(const std::function<void(int)>& fn);
-
-  /// run() with a hung-thread detector: returns true once every worker
-  /// completed (rethrowing the first worker exception as run() does), or
-  /// false if some worker is still running after @p timeout, filling
-  /// @p unfinished (when non-null) with the stuck worker ids.
-  ///
-  /// On timeout the episode stays in flight — the job is copied into the
-  /// team first, so the caller's @p fn may go out of scope safely — and
-  /// the next run()/run_for() call or the destructor waits for it to
-  /// drain.  A worker stuck *forever* therefore still blocks teardown:
-  /// the caller must unstick it (e.g. release whatever it spins on) after
-  /// a false return.
-  bool run_for(const std::function<void(int)>& fn,
-               std::chrono::milliseconds timeout,
-               std::vector<int>* unfinished = nullptr);
 
  private:
   struct Impl;

@@ -18,8 +18,9 @@
 // and post-warmup episodes make the numbers comparable with the
 // simulator's per-phase span_ns.
 //
-// Header-only and dependency-free so rt::Runtime can hook it without a
-// link-time dependency on the obs library.
+// Header-only and dependency-free, so native benchmark code can record
+// the timestamps it takes around barrier.wait(tid) without a link-time
+// dependency on the obs library.
 
 #include <algorithm>
 #include <chrono>

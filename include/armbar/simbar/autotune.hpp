@@ -18,8 +18,8 @@
 // best candidate as the exhaustive grid while simulating less (validated
 // on the three paper machines in tests/test_autotune.cpp).
 //
-// Used by the topology-explorer / sweep / autotune_explain examples and
-// validated against the analytical choice in tests.
+// Used by sweep_cli --autotune and validated against the analytical
+// choice in tests.
 
 #include <string>
 #include <vector>

@@ -4,13 +4,15 @@
 1. Every bench binary declared in bench/CMakeLists.txt must be mentioned
    in EXPERIMENTS.md -- the file claims to map binaries to paper
    artifacts, so an unmapped binary is documentation drift.
-2. Every example binary declared in examples/CMakeLists.txt must be
+2. Every bench/*.cpp that prints shape checks (calls report_checks) must
+   be registered as a `repro` ctest, so tier-1 gates every paper claim.
+3. Every example binary declared in examples/CMakeLists.txt must be
    mentioned in EXPERIMENTS.md, README.md, or docs/*.md.
-3. Every user-facing flag this script tracks as documentation-worthy
+4. Every user-facing flag this script tracks as documentation-worthy
    must appear in the docs and still exist in its binary's source
-   (currently: the observability/tuning flags of sweep_cli and
-   autotune_explain, and the measurement flags of bench/perf_sim).
-4. Every relative markdown link in the repo's *.md files must point at a
+   (currently: the observability/tuning flags of sweep_cli, and the
+   measurement flags of bench/perf_sim).
+5. Every relative markdown link in the repo's *.md files must point at a
    file (or directory) that exists.
 
 Exit status 0 iff all checks pass; offending items are listed on stderr.
@@ -28,7 +30,7 @@ SKIP_DIRS = {".git", "build", ".github"}
 
 def bench_targets():
     text = (REPO / "bench" / "CMakeLists.txt").read_text()
-    return re.findall(r"armbar_add_bench\(\s*(\w+)", text)
+    return re.findall(r"armbar_add_(?:bench|repro)\(\s*(\w+)", text)
 
 
 def check_bench_coverage(errors):
@@ -37,6 +39,28 @@ def check_bench_coverage(errors):
         if not re.search(r"\b%s\b" % re.escape(target), experiments):
             errors.append(
                 "EXPERIMENTS.md does not mention bench target '%s'" % target
+            )
+
+
+def check_repro_registration(errors):
+    """A shape check gates nothing unless ctest runs its binary:
+    armbar_add_repro() must still register a `repro`-labelled test, and
+    every bench source calling report_checks must be added through it."""
+    text = (REPO / "bench" / "CMakeLists.txt").read_text()
+    body = re.search(r"function\(armbar_add_repro\b(.*?)endfunction\(\)",
+                     text, re.DOTALL)
+    if not body or "add_test(" not in body.group(1) \
+            or "LABELS repro" not in body.group(1):
+        errors.append("bench/CMakeLists.txt: armbar_add_repro() no longer "
+                      "registers a ctest labelled repro")
+    registered = set(re.findall(r"armbar_add_repro\(\s*(\w+)\s*\)", text))
+    for source in sorted((REPO / "bench").glob("*.cpp")):
+        if "report_checks(" in source.read_text() \
+                and source.stem not in registered:
+            errors.append(
+                "bench/%s prints shape checks but bench/CMakeLists.txt "
+                "does not register it with armbar_add_repro (ctest -L "
+                "repro would not run it)" % source.name
             )
 
 
@@ -80,7 +104,6 @@ DOCUMENTED_FLAGS = {
                                "--max-inflight",
                                "--heatmap", "--hier-geometry",
                                "--hier-ratios"]),
-    "autotune_explain": ("examples", ["--prune"]),
     "perf_sim": ("bench", ["--breakdown", "--warmup-reps", "--reps",
                            "--json", "--hier"]),
     "perf_service": ("bench", ["--jobs", "--distinct", "--workers",
@@ -203,6 +226,7 @@ def check_links(errors):
 def main():
     errors = []
     check_bench_coverage(errors)
+    check_repro_registration(errors)
     check_example_coverage(errors)
     check_flag_coverage(errors)
     check_service_examples(errors)

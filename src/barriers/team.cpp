@@ -1,10 +1,12 @@
 #include "armbar/barriers/team.hpp"
 
 #include <condition_variable>
+#include <cstdint>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <vector>
 
 namespace armbar {
 
@@ -34,18 +36,9 @@ struct ThreadTeam::Impl {
   std::condition_variable cv_workers;
   std::condition_variable cv_done;
   const std::function<void(int)>* job = nullptr;
-  /// run_for copies its job here so a timed-out episode keeps a live
-  /// callable after the caller's std::function goes out of scope.
-  std::function<void(int)> job_storage;
   std::uint64_t episode = 0;
   int remaining = 0;
   bool stopping = false;
-  /// True while a timed-out run_for episode is still running; the next
-  /// dispatch (or the destructor) drains it first.
-  bool in_flight = false;
-  /// Per-worker completion flags of the current episode (run_for reports
-  /// the unset ones as stuck).
-  std::vector<char> finished;
   std::exception_ptr first_error;
   std::vector<std::thread> workers;
 
@@ -68,27 +61,9 @@ struct ThreadTeam::Impl {
       }
       {
         std::lock_guard<std::mutex> lk(mu);
-        finished[static_cast<std::size_t>(tid)] = 1;
         if (--remaining == 0) cv_done.notify_all();
       }
     }
-  }
-
-  /// Wait out an episode left running by a timed-out run_for.  Blocks
-  /// until its workers finish — a worker stuck forever blocks here, which
-  /// is why run_for documents that the caller must unstick it.
-  void drain(std::unique_lock<std::mutex>& lk) {
-    if (!in_flight) return;
-    cv_done.wait(lk, [&] { return remaining == 0; });
-    in_flight = false;
-  }
-
-  void dispatch(int num_threads) {
-    remaining = num_threads;
-    finished.assign(static_cast<std::size_t>(num_threads), 0);
-    first_error = nullptr;
-    ++episode;
-    cv_workers.notify_all();
   }
 };
 
@@ -105,8 +80,7 @@ ThreadTeam::ThreadTeam(int num_threads)
 
 ThreadTeam::~ThreadTeam() {
   {
-    std::unique_lock<std::mutex> lk(impl_->mu);
-    impl_->drain(lk);
+    std::lock_guard<std::mutex> lk(impl_->mu);
     impl_->stopping = true;
   }
   impl_->cv_workers.notify_all();
@@ -116,35 +90,13 @@ ThreadTeam::~ThreadTeam() {
 
 void ThreadTeam::run(const std::function<void(int)>& fn) {
   std::unique_lock<std::mutex> lk(impl_->mu);
-  impl_->drain(lk);
   impl_->job = &fn;
-  impl_->dispatch(num_threads_);
+  impl_->remaining = num_threads_;
+  impl_->first_error = nullptr;
+  ++impl_->episode;
+  impl_->cv_workers.notify_all();
   impl_->cv_done.wait(lk, [&] { return impl_->remaining == 0; });
   if (impl_->first_error) std::rethrow_exception(impl_->first_error);
-}
-
-bool ThreadTeam::run_for(const std::function<void(int)>& fn,
-                         std::chrono::milliseconds timeout,
-                         std::vector<int>* unfinished) {
-  std::unique_lock<std::mutex> lk(impl_->mu);
-  impl_->drain(lk);
-  impl_->job_storage = fn;
-  impl_->job = &impl_->job_storage;
-  impl_->dispatch(num_threads_);
-  impl_->in_flight = true;
-  if (!impl_->cv_done.wait_for(lk, timeout,
-                               [&] { return impl_->remaining == 0; })) {
-    if (unfinished) {
-      unfinished->clear();
-      for (int tid = 0; tid < num_threads_; ++tid)
-        if (!impl_->finished[static_cast<std::size_t>(tid)])
-          unfinished->push_back(tid);
-    }
-    return false;  // episode stays in flight; next dispatch drains it
-  }
-  impl_->in_flight = false;
-  if (impl_->first_error) std::rethrow_exception(impl_->first_error);
-  return true;
 }
 
 }  // namespace armbar

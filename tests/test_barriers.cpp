@@ -220,10 +220,24 @@ TEST(ThreadTeamTest, PropagatesWorkerException) {
                  if (tid == 1) throw std::runtime_error("boom");
                }),
                std::runtime_error);
-  // Team must remain usable after an exception.
-  std::atomic<int> ok{0};
-  team.run([&](int) { ok.fetch_add(1); });
-  EXPECT_EQ(ok.load(), 3);
+  // Team must remain usable after an exception: the next run() is a
+  // complete episode, every worker running once and meeting at a barrier.
+  Barrier b = make_barrier(Algo::kOptimized, 3);
+  std::atomic<int> ran[3] = {0, 0, 0};
+  team.run([&](int tid) {
+    ran[tid].fetch_add(1);
+    b.wait(tid);
+  });
+  for (const auto& r : ran) EXPECT_EQ(r.load(), 1);
+  // Destroying a team right after run() returns must not hang: here after
+  // a run that threw, and at scope exit after one that did not.
+  for (int i = 0; i < 20; ++i) {
+    ThreadTeam short_lived(3);
+    EXPECT_THROW(short_lived.run([](int tid) {
+                   if (tid == 2) throw std::runtime_error("late");
+                 }),
+                 std::runtime_error);
+  }
 }
 
 TEST(ParallelRun, PropagatesException) {

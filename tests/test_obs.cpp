@@ -11,7 +11,6 @@
 #include "armbar/obs/metrics.hpp"
 #include "armbar/obs/native_phase.hpp"
 #include "armbar/obs/perfetto.hpp"
-#include "armbar/rt/runtime.hpp"
 #include "armbar/sim/trace.hpp"
 #include "armbar/simbar/runner.hpp"
 #include "armbar/simbar/sim_barriers.hpp"
@@ -311,22 +310,6 @@ TEST(NativePhaseLog, MeanSkipsWarmupAndIncompleteEpisodes) {
   // Degenerate warmup beyond the data: zeros, no crash.
   const auto empty = log.mean_breakdown(10);
   EXPECT_DOUBLE_EQ(empty.arrival_ns, 0.0);
-}
-
-TEST(NativePhaseLog, HooksIntoRuntimeBarrier) {
-  NativePhaseLog log(4, 16);
-  rt::Runtime rt({.threads = 4, .phase_log = &log});
-  rt.parallel([](rt::Team& t) {
-    for (int i = 0; i < 5; ++i) t.barrier();
-  });
-  EXPECT_GE(log.complete_episodes(), 5);
-  EXPECT_EQ(log.dropped(), 0u);
-  for (int ep = 0; ep < 5; ++ep)
-    for (int t = 0; t < 4; ++t)
-      EXPECT_LE(log.enter_ns(t, ep), log.exit_ns(t, ep));
-  const auto mean = log.mean_breakdown(1);
-  EXPECT_GE(mean.arrival_ns, 0.0);
-  EXPECT_GT(mean.arrival_ns + mean.notification_ns, 0.0);
 }
 
 }  // namespace
