@@ -52,8 +52,7 @@ void register_all() {
           [algo, threads](benchmark::State& s) {
             run_episodes(s, algo, threads);
           })
-          ->Unit(benchmark::kMicrosecond)
-          ->MinTime(0.05);
+          ->Unit(benchmark::kMicrosecond);
     }
   }
 }

@@ -22,7 +22,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "armbar/util/backoff.hpp"
+#include "armbar/barriers/atomics.hpp"
 #include "armbar/util/cacheline.hpp"
 
 namespace armbar {
@@ -32,7 +32,18 @@ enum class SenseLayout {
   kSeparated,  ///< counter and generation on distinct cachelines
 };
 
+namespace site {
+inline constexpr Site central_arrive = Site::acq_rel("central.arrive");
+inline constexpr Site central_gen_release =
+    Site::release("central.gen_release");
+inline constexpr Site central_gen_poll = Site::acquire("central.gen_poll");
+}  // namespace site
+
+template <typename Atomics = NativeAtomics>
 class CentralSenseBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   explicit CentralSenseBarrier(int num_threads,
                                SenseLayout layout = SenseLayout::kSeparated)
@@ -56,9 +67,11 @@ class CentralSenseBarrier {
   }
 
  private:
-  void do_wait(std::atomic<int>& count, std::atomic<std::uint32_t>& gen) {
+  void do_wait(Atomic<int>& count, Atomic<std::uint32_t>& gen) {
+    // Stronger than required (g is pinned by the episode structure), so
+    // not a site.
     const std::uint32_t g = gen.load(std::memory_order_acquire);
-    if (count.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (count.fetch_sub(1, site::central_arrive) == 1) {
       // Last arrival: re-arm the counter before releasing the waiters.
       // The relaxed re-arm is safe: it is program-order before the gen
       // release below, and waiters acquire gen before re-entering, so the
@@ -69,23 +82,23 @@ class CentralSenseBarrier {
       // not just the last thread's.  (wmc certifies both: weakening
       // central.arrive or central.gen_release to relaxed is caught.)
       count.store(num_threads_, std::memory_order_relaxed);
-      gen.store(g + 1, std::memory_order_release);
+      gen.store(g + 1, site::central_gen_release);
     } else {
-      util::spin_until(
-          [&] { return gen.load(std::memory_order_acquire) != g; });
+      Atomics::await(gen, site::central_gen_poll,
+                     [g](std::uint32_t v) { return v != g; });
     }
   }
 
   struct alignas(util::kCachelineBytes) PackedState {
-    std::atomic<int> count{0};
-    std::atomic<std::uint32_t> gen{0};
+    Atomic<int> count{};
+    Atomic<std::uint32_t> gen{};
   };
 
   int num_threads_;
   SenseLayout layout_;
   PackedState packed_;
-  util::Padded<std::atomic<int>> separated_count_;
-  util::Padded<std::atomic<std::uint32_t>> separated_gen_;
+  util::Padded<Atomic<int>> separated_count_;
+  util::Padded<Atomic<std::uint32_t>> separated_gen_;
 };
 
 }  // namespace armbar

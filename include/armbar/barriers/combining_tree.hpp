@@ -14,13 +14,23 @@
 #include <string>
 #include <vector>
 
+#include "armbar/barriers/atomics.hpp"
 #include "armbar/barriers/shape.hpp"
-#include "armbar/util/backoff.hpp"
 #include "armbar/util/cacheline.hpp"
 
 namespace armbar {
 
+namespace site {
+inline constexpr Site cmb_arrive = Site::acq_rel("cmb.arrive");
+inline constexpr Site cmb_gen_release = Site::release("cmb.gen_release");
+inline constexpr Site cmb_gen_poll = Site::acquire("cmb.gen_poll");
+}  // namespace site
+
+template <typename Atomics = NativeAtomics>
 class CombiningTreeBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   explicit CombiningTreeBarrier(int num_threads, int fanin = 2)
       : num_threads_(num_threads),
@@ -32,14 +42,15 @@ class CombiningTreeBarrier {
   }
 
   void wait(int tid) {
+    // Stronger than required, as in CentralSenseBarrier: not a site.
     const std::uint32_t g = gen_->load(std::memory_order_acquire);
     int node = tree_.leaf_of_thread[static_cast<std::size_t>(tid)];
     for (;;) {
       auto& counter = counters_[static_cast<std::size_t>(node)].value;
-      if (counter.fetch_sub(1, std::memory_order_acq_rel) != 1) {
+      if (counter.fetch_sub(1, site::cmb_arrive) != 1) {
         // Not the last at this node: wait for the global release.
-        util::spin_until(
-            [&] { return gen_->load(std::memory_order_acquire) != g; });
+        Atomics::await(*gen_, site::cmb_gen_poll,
+                       [g](std::uint32_t v) { return v != g; });
         return;
       }
       // Last at this node: re-arm it for the next episode and combine
@@ -55,7 +66,7 @@ class CombiningTreeBarrier {
       counter.store(tree_.nodes[static_cast<std::size_t>(node)].fanin,
                     std::memory_order_relaxed);
       if (node == tree_.root()) {
-        gen_->store(g + 1, std::memory_order_release);
+        gen_->store(g + 1, site::cmb_gen_release);
         return;
       }
       node = tree_.nodes[static_cast<std::size_t>(node)].parent;
@@ -70,8 +81,8 @@ class CombiningTreeBarrier {
   int num_threads_;
   int fanin_;
   shape::CombiningTree tree_;
-  std::vector<util::Padded<std::atomic<int>>> counters_;
-  util::Padded<std::atomic<std::uint32_t>> gen_;
+  std::vector<util::Padded<Atomic<int>>> counters_;
+  util::Padded<Atomic<std::uint32_t>> gen_;
 };
 
 }  // namespace armbar

@@ -14,13 +14,22 @@
 #include <string>
 #include <vector>
 
+#include "armbar/barriers/atomics.hpp"
 #include "armbar/barriers/shape.hpp"
-#include "armbar/util/backoff.hpp"
 #include "armbar/util/cacheline.hpp"
 
 namespace armbar {
 
+namespace site {
+inline constexpr Site dis_signal = Site::release("dis.signal");
+inline constexpr Site dis_poll = Site::acquire("dis.poll");
+}  // namespace site
+
+template <typename Atomics = NativeAtomics>
 class DisseminationBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   explicit DisseminationBarrier(int num_threads)
       : num_threads_(num_threads),
@@ -43,11 +52,10 @@ class DisseminationBarrier {
     ThreadState& st = state_[static_cast<std::size_t>(tid)].value;
     for (int r = 0; r < rounds_; ++r) {
       const int out = partner_[static_cast<std::size_t>(tid)][static_cast<std::size_t>(r)];
-      flag(out, st.parity, r).store(st.sense, std::memory_order_release);
-      auto& mine = flag(tid, st.parity, r);
+      flag(out, st.parity, r).store(st.sense, site::dis_signal);
       const std::uint32_t want = st.sense;
-      util::spin_until(
-          [&] { return mine.load(std::memory_order_acquire) == want; });
+      Atomics::await(flag(tid, st.parity, r), site::dis_poll,
+                     [want](std::uint32_t v) { return v == want; });
     }
     if (st.parity == 1) st.sense ^= 1u;
     st.parity ^= 1;
@@ -62,7 +70,7 @@ class DisseminationBarrier {
     std::uint32_t sense = 1;  // flags start at 0, first episode writes 1
   };
 
-  std::atomic<std::uint32_t>& flag(int tid, int parity, int round) {
+  Atomic<std::uint32_t>& flag(int tid, int parity, int round) {
     const std::size_t idx =
         (static_cast<std::size_t>(tid) * 2 + static_cast<std::size_t>(parity)) *
             static_cast<std::size_t>(rounds_) +
@@ -72,7 +80,7 @@ class DisseminationBarrier {
 
   int num_threads_;
   int rounds_;
-  std::vector<util::Padded<std::atomic<std::uint32_t>>> flags_;
+  std::vector<util::Padded<Atomic<std::uint32_t>>> flags_;
   std::vector<util::Padded<ThreadState>> state_;
   std::vector<std::vector<int>> partner_;
 };

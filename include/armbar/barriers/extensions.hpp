@@ -29,13 +29,38 @@
 #include <string>
 #include <vector>
 
-#include "armbar/barriers/notify.hpp"
+#include "armbar/barriers/atomics.hpp"
 #include "armbar/barriers/shape.hpp"
-#include "armbar/util/backoff.hpp"
 #include "armbar/util/cacheline.hpp"
 #include "armbar/util/generation.hpp"
 
 namespace armbar {
+
+namespace site {
+inline constexpr Site hybrid_arrive = Site::acq_rel("hybrid.arrive");
+inline constexpr Site hybrid_flag_set = Site::release("hybrid.flag_set");
+inline constexpr Site hybrid_flag_poll = Site::acquire("hybrid.flag_poll");
+inline constexpr Site hybrid_gen_release = Site::release("hybrid.gen_release");
+inline constexpr Site hybrid_gen_poll = Site::acquire("hybrid.gen_poll");
+inline constexpr Site nway_signal = Site::release("nway.signal");
+inline constexpr Site nway_poll = Site::acquire("nway.poll");
+inline constexpr Site ring_token_set = Site::release("ring.token_set");
+inline constexpr Site ring_token_poll = Site::acquire("ring.token_poll");
+inline constexpr Site ring_gen_release = Site::release("ring.gen_release");
+inline constexpr Site ring_gen_poll = Site::acquire("ring.gen_poll");
+inline constexpr Site amo_cluster_add = Site::acq_rel("amo.cluster_add");
+inline constexpr Site amo_super_add = Site::acq_rel("amo.super_add");
+inline constexpr Site amo_wake_root = Site::release("amo.wake_root");
+inline constexpr Site amo_wake_set = Site::release("amo.wake_set");
+inline constexpr Site amo_wake_poll = Site::acquire("amo.wake_poll");
+inline constexpr Site c2_cluster_add = Site::acq_rel("c2.cluster_add");
+inline constexpr Site c2_root_add = Site::acq_rel("c2.root_add");
+inline constexpr Site c2_root_gen_release =
+    Site::release("c2.root_gen_release");
+inline constexpr Site c2_root_gen_poll = Site::acquire("c2.root_gen_poll");
+inline constexpr Site c2_gen_release = Site::release("c2.gen_release");
+inline constexpr Site c2_gen_poll = Site::acquire("c2.gen_poll");
+}  // namespace site
 
 /// Hybrid barrier: centralized within a cluster, dissemination across
 /// clusters.  The LAST thread to arrive in a cluster becomes the cluster's
@@ -43,7 +68,11 @@ namespace armbar {
 /// (the dissemination flags are indexed by cluster, so any member can act
 /// for it); it then releases its cluster mates through a per-cluster
 /// generation word.
+template <typename Atomics = NativeAtomics>
 class HybridBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   HybridBarrier(int num_threads, int cluster_size)
       : num_threads_(checked(num_threads)),
@@ -65,7 +94,7 @@ class HybridBarrier {
     const int cl = tid / cluster_size_;
     auto& counter = counters_[static_cast<std::size_t>(cl)].value;
     auto& gen = gens_[static_cast<std::size_t>(cl)].value;
-    if (counter.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    if (counter.fetch_sub(1, site::hybrid_arrive) == 1) {
       // Cluster representative: re-arm, synchronize across clusters,
       // release the cluster.  The relaxed re-arm is safe: cluster mates
       // can only re-enter (and decrement again) after observing the
@@ -79,16 +108,16 @@ class HybridBarrier {
       for (int r = 0; r < rounds_; ++r) {
         const int out =
             shape::DisseminationShape::signal_partner(cl, r, num_clusters_);
-        flag(out, r).store(e, std::memory_order_release);
-        auto& mine = flag(cl, r);
-        util::spin_until([&] {
-          return util::gen_reached(mine.load(std::memory_order_acquire), e);
-        });
+        flag(out, r).store(e, site::hybrid_flag_set);
+        Atomics::await(flag(cl, r), site::hybrid_flag_poll,
+                       [e](std::uint64_t v) {
+                         return util::gen_reached(v, e);
+                       });
       }
-      gen.store(e, std::memory_order_release);
+      gen.store(e, site::hybrid_gen_release);
     } else {
-      util::spin_until([&] {
-        return util::gen_reached(gen.load(std::memory_order_acquire), e);
+      Atomics::await(gen, site::hybrid_gen_poll, [e](std::uint64_t v) {
+        return util::gen_reached(v, e);
       });
     }
   }
@@ -112,7 +141,7 @@ class HybridBarrier {
     return std::min(cluster_size_,
                     num_threads_ - cluster * cluster_size_);
   }
-  std::atomic<std::uint64_t>& flag(int cluster, int round) {
+  Atomic<std::uint64_t>& flag(int cluster, int round) {
     return flags_[static_cast<std::size_t>(cluster) *
                       static_cast<std::size_t>(std::max(rounds_, 1)) +
                   static_cast<std::size_t>(round)]
@@ -123,16 +152,20 @@ class HybridBarrier {
   int cluster_size_;
   int num_clusters_;
   int rounds_;
-  std::vector<util::Padded<std::atomic<int>>> counters_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> gens_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> flags_;
+  std::vector<util::Padded<Atomic<int>>> counters_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> gens_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> flags_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
 };
 
 /// n-way dissemination: in round j (step s = (n+1)^j) thread i signals
 /// partners (i + k*s) mod P and awaits n incoming flags, finishing in
 /// ceil(log_{n+1} P) rounds.
+template <typename Atomics = NativeAtomics>
 class NWayDisseminationBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   explicit NWayDisseminationBarrier(int num_threads, int ways = 3)
       : num_threads_(checked(num_threads)), ways_(ways) {
@@ -144,7 +177,7 @@ class NWayDisseminationBarrier {
       reach *= static_cast<std::uint64_t>(ways_) + 1;
       ++rounds_;
     }
-    flags_ = std::vector<util::Padded<std::atomic<std::uint64_t>>>(
+    flags_ = std::vector<util::Padded<Atomic<std::uint64_t>>>(
         static_cast<std::size_t>(num_threads) *
         static_cast<std::size_t>(std::max(rounds_, 1)) *
         static_cast<std::size_t>(ways_));
@@ -160,20 +193,13 @@ class NWayDisseminationBarrier {
         const auto out = (static_cast<std::uint64_t>(tid) +
                           static_cast<std::uint64_t>(k) * step) %
                          p;
-        flag(static_cast<int>(out), r, k - 1)
-            .store(e, std::memory_order_release);
+        flag(static_cast<int>(out), r, k - 1).store(e, site::nway_signal);
       }
-      // Await all n incoming flags in one polling loop.
-      util::SpinWait w;
-      for (;;) {
-        bool all = true;
-        for (int k = 0; k < ways_; ++k)
-          all = util::gen_reached(
-                    flag(tid, r, k).load(std::memory_order_acquire), e) &&
-                all;
-        if (all) break;
-        w.step();
-      }
+      // Await all n incoming flags (in one polling loop natively).
+      Atomics::await_all(
+          0, ways_, [&](int k) -> auto& { return flag(tid, r, k); },
+          site::nway_poll,
+          [e](std::uint64_t v) { return util::gen_reached(v, e); });
       step *= static_cast<std::uint64_t>(ways_) + 1;
     }
   }
@@ -191,7 +217,7 @@ class NWayDisseminationBarrier {
       throw std::invalid_argument("NWayDissemination: num_threads >= 1");
     return n;
   }
-  std::atomic<std::uint64_t>& flag(int tid, int round, int slot) {
+  Atomic<std::uint64_t>& flag(int tid, int round, int slot) {
     const std::size_t idx =
         (static_cast<std::size_t>(tid) *
              static_cast<std::size_t>(std::max(rounds_, 1)) +
@@ -204,14 +230,18 @@ class NWayDisseminationBarrier {
   int num_threads_;
   int ways_;
   int rounds_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> flags_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> flags_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
 };
 
 /// Ring barrier: an arrival token travels thread 0 -> 1 -> ... -> P-1;
 /// thread P-1 then flips the global generation.  Every signal touches
 /// only the next core on the ring.
+template <typename Atomics = NativeAtomics>
 class RingBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   explicit RingBarrier(int num_threads)
       : num_threads_(checked(num_threads)),
@@ -222,19 +252,19 @@ class RingBarrier {
     const std::uint64_t e = ++epoch_[static_cast<std::size_t>(tid)].value;
     if (tid != 0) {
       // Wait for the token: all threads 0..tid-1 have arrived.
-      auto& mine = token_[static_cast<std::size_t>(tid)].value;
-      util::spin_until([&] {
-        return util::gen_reached(mine.load(std::memory_order_acquire), e);
-      });
+      Atomics::await(token_[static_cast<std::size_t>(tid)].value,
+                     site::ring_token_poll, [e](std::uint64_t v) {
+                       return util::gen_reached(v, e);
+                     });
     }
     if (tid + 1 < num_threads_) {
       token_[static_cast<std::size_t>(tid) + 1].value.store(
-          e, std::memory_order_release);
-      util::spin_until([&] {
-        return util::gen_reached(gen_->load(std::memory_order_acquire), e);
+          e, site::ring_token_set);
+      Atomics::await(*gen_, site::ring_gen_poll, [e](std::uint64_t v) {
+        return util::gen_reached(v, e);
       });
     } else {
-      gen_->store(e, std::memory_order_release);
+      gen_->store(e, site::ring_gen_release);
     }
   }
 
@@ -248,8 +278,8 @@ class RingBarrier {
   }
 
   int num_threads_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> token_;
-  util::Padded<std::atomic<std::uint64_t>> gen_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> token_;
+  util::Padded<Atomic<std::uint64_t>> gen_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
 };
 
@@ -268,7 +298,11 @@ class RingBarrier {
 /// releases thread 0's wake flag, and release fans out over
 /// shape::numa_wakeup_children: cluster masters first (remote hops start
 /// early), then the local binary tree.
+template <typename Atomics = NativeAtomics>
 class ClusterAmoBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   ClusterAmoBarrier(int num_threads, int cluster_size)
       : num_threads_(checked(num_threads)),
@@ -289,26 +323,27 @@ class ClusterAmoBarrier {
     const std::uint64_t e = ++epoch_[static_cast<std::size_t>(tid)].value;
     const int cl = tid / cluster_size_;
     auto& counter = counters_[static_cast<std::size_t>(cl)].value;
-    if (counter.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+    if (counter.fetch_add(1, site::amo_cluster_add) + 1 ==
         e * static_cast<std::uint64_t>(cluster_members(cl))) {
       // Cluster champion: one amo-add on the supergroup counter.
       const int sg = cl / cluster_size_;
       auto& super = supers_[static_cast<std::size_t>(sg)].value;
-      if (super.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+      if (super.fetch_add(1, site::amo_super_add) + 1 ==
           e * static_cast<std::uint64_t>(super_members(sg))) {
-        // Supergroup champion: one amo-add on the root.
+        // Supergroup champion: one amo-add on the root.  Not a site: a
+        // checkable geometry has one supergroup, so one add per episode
+        // reaches the root and the chain is already complete through
+        // amo.super_add (docs/MEMORY_ORDERS.md).
         if (root_.value.fetch_add(1, std::memory_order_acq_rel) + 1 ==
             e * static_cast<std::uint64_t>(num_supergroups_))
-          wake_[0].value.store(e, std::memory_order_release);
+          wake_[0].value.store(e, site::amo_wake_root);
       }
     }
-    auto& mine = wake_[static_cast<std::size_t>(tid)].value;
-    util::spin_until([&] {
-      return util::gen_reached(mine.load(std::memory_order_acquire), e);
-    });
+    Atomics::await(wake_[static_cast<std::size_t>(tid)].value,
+                   site::amo_wake_poll,
+                   [e](std::uint64_t v) { return util::gen_reached(v, e); });
     for (int c : children_[static_cast<std::size_t>(tid)])
-      wake_[static_cast<std::size_t>(c)].value.store(
-          e, std::memory_order_release);
+      wake_[static_cast<std::size_t>(c)].value.store(e, site::amo_wake_set);
   }
 
   int num_threads() const noexcept { return num_threads_; }
@@ -338,10 +373,10 @@ class ClusterAmoBarrier {
   int cluster_size_;
   int num_clusters_;
   int num_supergroups_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> counters_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> supers_;
-  util::Padded<std::atomic<std::uint64_t>> root_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> wake_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> counters_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> supers_;
+  util::Padded<Atomic<std::uint64_t>> root_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> wake_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
   std::vector<std::vector<int>> children_;
 };
@@ -351,7 +386,11 @@ class ClusterAmoBarrier {
 /// cluster champions, and release is a two-level generation broadcast
 /// (root gen polled by champions only, per-cluster gens polled by
 /// members only).  Counters are cumulative (see ClusterAmoBarrier).
+template <typename Atomics = NativeAtomics>
 class CentralTwoLevelBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   CentralTwoLevelBarrier(int num_threads, int cluster_size)
       : num_threads_(checked(num_threads)),
@@ -367,22 +406,22 @@ class CentralTwoLevelBarrier {
     const auto members = static_cast<std::uint64_t>(members_of(cl));
     auto& counter = counters_[static_cast<std::size_t>(cl)].value;
     auto& gen = gens_[static_cast<std::size_t>(cl)].value;
-    if (counter.fetch_add(1, std::memory_order_acq_rel) + 1 == e * members) {
+    if (counter.fetch_add(1, site::c2_cluster_add) + 1 == e * members) {
       // Cluster champion: arrive at the root, await the root release,
       // then release the cluster.
-      if (root_.value.fetch_add(1, std::memory_order_acq_rel) + 1 ==
+      if (root_.value.fetch_add(1, site::c2_root_add) + 1 ==
           e * static_cast<std::uint64_t>(num_clusters_)) {
-        root_gen_.value.store(e, std::memory_order_release);
+        root_gen_.value.store(e, site::c2_root_gen_release);
       } else {
-        util::spin_until([&] {
-          return util::gen_reached(
-              root_gen_.value.load(std::memory_order_acquire), e);
-        });
+        Atomics::await(root_gen_.value, site::c2_root_gen_poll,
+                       [e](std::uint64_t v) {
+                         return util::gen_reached(v, e);
+                       });
       }
-      gen.store(e, std::memory_order_release);
+      gen.store(e, site::c2_gen_release);
     } else {
-      util::spin_until([&] {
-        return util::gen_reached(gen.load(std::memory_order_acquire), e);
+      Atomics::await(gen, site::c2_gen_poll, [e](std::uint64_t v) {
+        return util::gen_reached(v, e);
       });
     }
   }
@@ -410,10 +449,10 @@ class CentralTwoLevelBarrier {
   int num_threads_;
   int cluster_size_;
   int num_clusters_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> counters_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> gens_;
-  util::Padded<std::atomic<std::uint64_t>> root_;
-  util::Padded<std::atomic<std::uint64_t>> root_gen_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> counters_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> gens_;
+  util::Padded<Atomic<std::uint64_t>> root_;
+  util::Padded<Atomic<std::uint64_t>> root_gen_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
 };
 

@@ -25,9 +25,9 @@
 #include <string>
 #include <vector>
 
+#include "armbar/barriers/atomics.hpp"
 #include "armbar/barriers/notify.hpp"
 #include "armbar/barriers/shape.hpp"
-#include "armbar/util/backoff.hpp"
 #include "armbar/util/cacheline.hpp"
 #include "armbar/util/generation.hpp"
 
@@ -52,7 +52,20 @@ struct FwayOptions {
   int cluster_size = 4;
 };
 
+namespace site {
+inline constexpr Site stour_flag_set = Site::release("stour.flag_set");
+inline constexpr Site stour_flag_poll = Site::acquire("stour.flag_poll");
+inline constexpr Site stour_pad_flag_set = Site::release("stour.pad_flag_set");
+inline constexpr Site stour_pad_flag_poll =
+    Site::acquire("stour.pad_flag_poll");
+inline constexpr Site dtour_arrive = Site::acq_rel("dtour.arrive");
+}  // namespace site
+
+template <typename Atomics = NativeAtomics>
 class StaticFwayBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   StaticFwayBarrier(int num_threads, FwayOptions options = {})
       : num_threads_(num_threads),
@@ -66,10 +79,9 @@ class StaticFwayBarrier {
     build_plans();
     const std::size_t total = total_positions();
     if (options_.layout == FlagLayout::kPacked32)
-      packed_flags_ = std::vector<std::atomic<std::uint32_t>>(total);
+      packed_flags_ = std::vector<Atomic<std::uint32_t>>(total);
     else
-      padded_flags_ =
-          std::vector<util::Padded<std::atomic<std::uint64_t>>>(total);
+      padded_flags_ = std::vector<util::Padded<Atomic<std::uint64_t>>>(total);
     epoch_.resize(static_cast<std::size_t>(num_threads));
   }
 
@@ -78,17 +90,9 @@ class StaticFwayBarrier {
     bool lost = false;
     for (const RoundPlan& p : plans_[static_cast<std::size_t>(tid)]) {
       if (p.my_pos == p.group_begin) {
-        // Winner: poll every child's flag in one loop so misses to the
-        // padded lines overlap (this is what makes fan-in 4 cheaper than
-        // a deeper fan-in-2 tree on real hardware).
-        util::SpinWait w;
-        for (;;) {
-          bool all = true;
-          for (int j = p.group_begin + 1; j < p.group_end; ++j)
-            all = flag_ready(p.round, j, e) && all;
-          if (all) break;
-          w.step();
-        }
+        // Winner: poll every child's flag (in one loop natively, so the
+        // misses to the padded lines overlap).
+        await_children(p, e);
       } else {
         set_flag(p.round, p.my_pos, e);
         lost = true;
@@ -154,34 +158,40 @@ class StaticFwayBarrier {
   void set_flag(int round, int pos, std::uint64_t e) {
     if (options_.layout == FlagLayout::kPacked32)
       packed_flags_[slot(round, pos)].store(static_cast<std::uint32_t>(e),
-                                            std::memory_order_release);
+                                            site::stour_flag_set);
     else
       padded_flags_[slot(round, pos)].value.store(e,
-                                                  std::memory_order_release);
+                                                  site::stour_pad_flag_set);
   }
 
-  bool flag_ready(int round, int pos, std::uint64_t e) {
+  void await_children(const RoundPlan& p, std::uint64_t e) {
     if (options_.layout == FlagLayout::kPacked32) {
       // Equality is wrap-safe: a child's flag is always e-1 or e (mod
       // 2^32) relative to the polling winner's epoch, so truncating e to
       // 32 bits cannot alias a stale value onto the expected one.
-      return packed_flags_[slot(round, pos)].load(std::memory_order_acquire) ==
-             static_cast<std::uint32_t>(e);
+      const auto want = static_cast<std::uint32_t>(e);
+      Atomics::await_all(
+          p.group_begin + 1, p.group_end,
+          [&](int j) -> auto& { return packed_flags_[slot(p.round, j)]; },
+          site::stour_flag_poll, [want](std::uint32_t v) { return v == want; });
+    } else {
+      Atomics::await_all(
+          p.group_begin + 1, p.group_end,
+          [&](int j) -> auto& { return padded_flags_[slot(p.round, j)].value; },
+          site::stour_pad_flag_poll,
+          [e](std::uint64_t v) { return util::gen_reached(v, e); });
     }
-    return util::gen_reached(
-        padded_flags_[slot(round, pos)].value.load(std::memory_order_acquire),
-        e);
   }
 
   int num_threads_;
   FwayOptions options_;
   shape::TournamentSchedule schedule_;
-  Notifier notifier_;
+  Notifier<Atomics> notifier_;
   std::vector<std::vector<RoundPlan>> plans_;
   std::vector<std::size_t> round_offset_;
   std::size_t total_positions_ = 0;
-  std::vector<std::atomic<std::uint32_t>> packed_flags_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> padded_flags_;
+  std::vector<Atomic<std::uint32_t>> packed_flags_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> padded_flags_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
 };
 
@@ -189,7 +199,11 @@ class StaticFwayBarrier {
 /// *last* thread to decrement a group's counter advances.  The champion is
 /// therefore dynamic, so the wake-up is the global sense (any thread may
 /// release it).
+template <typename Atomics = NativeAtomics>
 class DynamicFwayBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   explicit DynamicFwayBarrier(int num_threads, int fanin = 0,
                               int max_fanin = 8)
@@ -208,8 +222,7 @@ class DynamicFwayBarrier {
       total += static_cast<std::size_t>(
           schedule_.rounds[static_cast<std::size_t>(r)].num_groups());
     }
-    counters_ =
-        std::vector<util::Padded<std::atomic<std::uint64_t>>>(total);
+    counters_ = std::vector<util::Padded<Atomic<std::uint64_t>>>(total);
   }
 
   void wait(int tid) {
@@ -230,7 +243,7 @@ class DynamicFwayBarrier {
       // arrivals.  The equality is exact mod 2^64, so wrap-around is
       // harmless (unlike an ordered >= comparison).
       const std::uint64_t arrivals =
-          counter.fetch_add(1, std::memory_order_acq_rel) + 1;
+          counter.fetch_add(1, site::dtour_arrive) + 1;
       if (arrivals != e * group_size) {
         champion = false;
         break;
@@ -250,10 +263,10 @@ class DynamicFwayBarrier {
  private:
   int num_threads_;
   shape::TournamentSchedule schedule_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> counters_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> counters_;
   std::vector<std::size_t> group_offset_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
-  Notifier notifier_;
+  Notifier<Atomics> notifier_;
 };
 
 }  // namespace armbar

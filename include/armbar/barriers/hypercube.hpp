@@ -13,14 +13,25 @@
 #include <string>
 #include <vector>
 
+#include "armbar/barriers/atomics.hpp"
 #include "armbar/barriers/shape.hpp"
-#include "armbar/util/backoff.hpp"
 #include "armbar/util/cacheline.hpp"
 #include "armbar/util/generation.hpp"
 
 namespace armbar {
 
+namespace site {
+inline constexpr Site hyper_arrive_set = Site::release("hyper.arrive_set");
+inline constexpr Site hyper_arrive_poll = Site::acquire("hyper.arrive_poll");
+inline constexpr Site hyper_release_set = Site::release("hyper.release_set");
+inline constexpr Site hyper_release_poll = Site::acquire("hyper.release_poll");
+}  // namespace site
+
+template <typename Atomics = NativeAtomics>
 class HypercubeBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   explicit HypercubeBarrier(int num_threads, int branch_factor = 4)
       : num_threads_(num_threads),
@@ -50,34 +61,30 @@ class HypercubeBarrier {
     for (int l = 0; l < levels; ++l) {
       const auto& kids =
           children_[static_cast<std::size_t>(tid)][static_cast<std::size_t>(l)];
-      if (kids.empty()) continue;
-      util::SpinWait w;
-      for (;;) {
-        bool all = true;
-        for (int c : kids)
-          all = util::gen_reached(arrive_[static_cast<std::size_t>(c)]
-                                      .value.load(std::memory_order_acquire),
-                                  e) &&
-                all;
-        if (all) break;
-        w.step();
-      }
+      Atomics::await_all(
+          0, static_cast<int>(kids.size()),
+          [&](int k) -> auto& {
+            return arrive_[static_cast<std::size_t>(
+                               kids[static_cast<std::size_t>(k)])]
+                .value;
+          },
+          site::hyper_arrive_poll,
+          [e](std::uint64_t v) { return util::gen_reached(v, e); });
     }
     if (tid != 0) {
       arrive_[static_cast<std::size_t>(tid)].value.store(
-          e, std::memory_order_release);
-      auto& my_release = release_[static_cast<std::size_t>(tid)].value;
-      util::spin_until([&] {
-        return util::gen_reached(my_release.load(std::memory_order_acquire),
-                                 e);
-      });
+          e, site::hyper_arrive_set);
+      Atomics::await(release_[static_cast<std::size_t>(tid)].value,
+                     site::hyper_release_poll, [e](std::uint64_t v) {
+                       return util::gen_reached(v, e);
+                     });
     }
     // Release: wake our gathered children, highest level first so remote
     // sub-trees start waking earliest.
     for (int l = levels - 1; l >= 0; --l) {
       for (int c : children_[static_cast<std::size_t>(tid)][static_cast<std::size_t>(l)])
         release_[static_cast<std::size_t>(c)].value.store(
-            e, std::memory_order_release);
+            e, site::hyper_release_set);
     }
   }
 
@@ -89,8 +96,8 @@ class HypercubeBarrier {
  private:
   int num_threads_;
   shape::HypercubeShape shape_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> arrive_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> release_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> arrive_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> release_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
   std::vector<std::vector<std::vector<int>>> children_;
   std::vector<int> report_level_;

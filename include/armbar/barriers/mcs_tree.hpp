@@ -19,14 +19,25 @@
 #include <string>
 #include <vector>
 
+#include "armbar/barriers/atomics.hpp"
 #include "armbar/barriers/shape.hpp"
-#include "armbar/util/backoff.hpp"
 #include "armbar/util/cacheline.hpp"
 #include "armbar/util/generation.hpp"
 
 namespace armbar {
 
+namespace site {
+inline constexpr Site mcs_child_clear = Site::release("mcs.child_clear");
+inline constexpr Site mcs_child_poll = Site::acquire("mcs.child_poll");
+inline constexpr Site mcs_wake_set = Site::release("mcs.wake_set");
+inline constexpr Site mcs_wake_poll = Site::acquire("mcs.wake_poll");
+}  // namespace site
+
+template <typename Atomics = NativeAtomics>
 class McsTreeBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   explicit McsTreeBarrier(int num_threads)
       : num_threads_(checked(num_threads)),
@@ -35,12 +46,11 @@ class McsTreeBarrier {
         epoch_(static_cast<std::size_t>(num_threads_)) {
     for (int t = 0; t < num_threads; ++t) {
       Node& n = nodes_[static_cast<std::size_t>(t)].value;
-      const auto kids = shape::McsShape::arrival_children(t, num_threads);
-      for (int s = 0; s < shape::McsShape::kArrivalFanin; ++s) {
-        n.have_child[s] = s < static_cast<int>(kids.size());
+      n.num_children = static_cast<int>(
+          shape::McsShape::arrival_children(t, num_threads).size());
+      for (int s = 0; s < n.num_children; ++s)
         n.child_not_ready[static_cast<std::size_t>(s)].store(
-            n.have_child[s] ? 1 : 0, std::memory_order_relaxed);
-      }
+            1, std::memory_order_relaxed);
     }
   }
 
@@ -48,20 +58,14 @@ class McsTreeBarrier {
     Node& n = nodes_[static_cast<std::size_t>(tid)].value;
     const std::uint64_t e = ++epoch_[static_cast<std::size_t>(tid)].value;
 
-    // Arrival: wait for all children in one polling loop, re-arm, then
-    // notify the parent.
-    util::SpinWait w;
-    for (;;) {
-      bool all = true;
-      for (int s = 0; s < shape::McsShape::kArrivalFanin; ++s) {
-        if (!n.have_child[s]) continue;
-        all = (n.child_not_ready[static_cast<std::size_t>(s)].load(
-                   std::memory_order_acquire) == 0) &&
-              all;
-      }
-      if (all) break;
-      w.step();
-    }
+    // Arrival: wait for all children (in one polling loop natively),
+    // re-arm, then notify the parent.
+    Atomics::await_all(
+        0, n.num_children,
+        [&](int s) -> auto& {
+          return n.child_not_ready[static_cast<std::size_t>(s)];
+        },
+        site::mcs_child_poll, [](std::uint32_t v) { return v == 0; });
     // Re-arm may be relaxed: a child can only clear this slot again after
     // observing this episode's wake-up, and the re-arm is ordered before
     // that wake-up — it sits program-order before our release store (the
@@ -70,11 +74,9 @@ class McsTreeBarrier {
     // wake_ hop back down, so the re-arm happens-before the child's next
     // episode-e+1 clear.  (wmc certifies this: mutating mcs.child_clear
     // or mcs.wake_set to relaxed is caught as a barrier escape.)
-    for (int s = 0; s < shape::McsShape::kArrivalFanin; ++s) {
-      if (n.have_child[s])
-        n.child_not_ready[static_cast<std::size_t>(s)].store(
-            1, std::memory_order_relaxed);
-    }
+    for (int s = 0; s < n.num_children; ++s)
+      n.child_not_ready[static_cast<std::size_t>(s)].store(
+          1, std::memory_order_relaxed);
     if (tid != 0) {
       Node& parent =
           nodes_[static_cast<std::size_t>(shape::McsShape::arrival_parent(tid))]
@@ -82,16 +84,15 @@ class McsTreeBarrier {
       parent
           .child_not_ready[static_cast<std::size_t>(
               shape::McsShape::arrival_slot(tid))]
-          .store(0, std::memory_order_release);
+          .store(0, site::mcs_child_clear);
       // Wake-up: wait on our own flag in the binary tree.
-      auto& my_wake = wake_[static_cast<std::size_t>(tid)].value;
-      util::spin_until([&] {
-        return util::gen_reached(my_wake.load(std::memory_order_acquire), e);
-      });
+      Atomics::await(wake_[static_cast<std::size_t>(tid)].value,
+                     site::mcs_wake_poll, [e](std::uint64_t v) {
+                       return util::gen_reached(v, e);
+                     });
     }
     for (int c : shape::McsShape::wakeup_children(tid, num_threads_))
-      wake_[static_cast<std::size_t>(c)].value.store(
-          e, std::memory_order_release);
+      wake_[static_cast<std::size_t>(c)].value.store(e, site::mcs_wake_set);
   }
 
   int num_threads() const noexcept { return num_threads_; }
@@ -105,14 +106,15 @@ class McsTreeBarrier {
   }
 
   struct Node {
-    // Packed on one line, as in the original algorithm.
-    std::atomic<std::uint32_t> child_not_ready[shape::McsShape::kArrivalFanin];
-    bool have_child[shape::McsShape::kArrivalFanin] = {};
+    // Packed on one line, as in the original algorithm.  Slots
+    // [0, num_children) belong to real arrival children.
+    Atomic<std::uint32_t> child_not_ready[shape::McsShape::kArrivalFanin];
+    int num_children = 0;
   };
 
   int num_threads_;
   std::vector<util::Padded<Node>> nodes_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> wake_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> wake_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
 };
 

@@ -16,8 +16,8 @@
 #include <string>
 #include <vector>
 
+#include "armbar/barriers/atomics.hpp"
 #include "armbar/barriers/shape.hpp"
-#include "armbar/util/backoff.hpp"
 #include "armbar/util/cacheline.hpp"
 #include "armbar/util/generation.hpp"
 
@@ -32,6 +32,13 @@ enum class NotifyPolicy {
 /// Human-readable policy name ("global", "binary-tree", "numa-tree").
 std::string to_string(NotifyPolicy policy);
 
+namespace site {
+inline constexpr Site notify_gen_release = Site::release("notify.gen_release");
+inline constexpr Site notify_gen_poll = Site::acquire("notify.gen_poll");
+inline constexpr Site notify_wake_set = Site::release("notify.wake_set");
+inline constexpr Site notify_wake_poll = Site::acquire("notify.wake_poll");
+}  // namespace site
+
 /// Reusable notification stage.  The thread that completes the arrival
 /// phase calls release(); every thread (including the releaser) then calls
 /// wait_release().  Episodes are identified by a monotonically increasing
@@ -39,7 +46,11 @@ std::string to_string(NotifyPolicy policy);
 ///
 /// Tree policies require the releaser to be thread 0 (the static
 /// tournament champion); global sense works with any releaser.
+template <typename Atomics = NativeAtomics>
 class Notifier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   Notifier(NotifyPolicy policy, int num_threads, int cluster_size)
       : policy_(policy), num_threads_(num_threads) {
@@ -49,7 +60,7 @@ class Notifier {
       throw std::invalid_argument("Notifier: NUMA tree needs cluster_size");
     if (policy_ != NotifyPolicy::kGlobalSense) {
       // Padded<atomic> is immovable; build by size and move the vector.
-      wake_ = std::vector<util::Padded<std::atomic<std::uint64_t>>>(
+      wake_ = std::vector<util::Padded<Atomic<std::uint64_t>>>(
           static_cast<std::size_t>(num_threads));
       children_.resize(static_cast<std::size_t>(num_threads));
       for (int t = 0; t < num_threads; ++t) {
@@ -64,7 +75,7 @@ class Notifier {
   /// Called by the arrival-phase champion (thread 0 for tree policies).
   void release(int tid, std::uint64_t gen) {
     if (policy_ == NotifyPolicy::kGlobalSense) {
-      gen_->store(gen, std::memory_order_release);
+      gen_->store(gen, site::notify_gen_release);
       return;
     }
     if (tid != 0)
@@ -76,16 +87,16 @@ class Notifier {
   /// Tree policies forward the wake-up to the caller's children.
   void wait_release(int tid, std::uint64_t gen) {
     if (policy_ == NotifyPolicy::kGlobalSense) {
-      util::spin_until([&] {
-        return util::gen_reached(gen_->load(std::memory_order_acquire), gen);
+      Atomics::await(*gen_, site::notify_gen_poll, [gen](std::uint64_t v) {
+        return util::gen_reached(v, gen);
       });
       return;
     }
     if (tid != 0) {
-      auto& flag = wake_[static_cast<std::size_t>(tid)].value;
-      util::spin_until([&] {
-        return util::gen_reached(flag.load(std::memory_order_acquire), gen);
-      });
+      Atomics::await(wake_[static_cast<std::size_t>(tid)].value,
+                     site::notify_wake_poll, [gen](std::uint64_t v) {
+                       return util::gen_reached(v, gen);
+                     });
       forward(tid, gen);
     }
     // Thread 0 already forwarded in release().
@@ -96,14 +107,14 @@ class Notifier {
  private:
   void forward(int tid, std::uint64_t gen) {
     for (int c : children_[static_cast<std::size_t>(tid)])
-      wake_[static_cast<std::size_t>(c)].value.store(
-          gen, std::memory_order_release);
+      wake_[static_cast<std::size_t>(c)].value.store(gen,
+                                                     site::notify_wake_set);
   }
 
   NotifyPolicy policy_;
   int num_threads_;
-  util::Padded<std::atomic<std::uint64_t>> gen_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> wake_;
+  util::Padded<Atomic<std::uint64_t>> gen_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> wake_;
   std::vector<std::vector<int>> children_;
 };
 

@@ -11,15 +11,24 @@
 #include <string>
 #include <vector>
 
+#include "armbar/barriers/atomics.hpp"
 #include "armbar/barriers/notify.hpp"
 #include "armbar/barriers/shape.hpp"
-#include "armbar/util/backoff.hpp"
 #include "armbar/util/cacheline.hpp"
 #include "armbar/util/generation.hpp"
 
 namespace armbar {
 
+namespace site {
+inline constexpr Site tour_flag_set = Site::release("tour.flag_set");
+inline constexpr Site tour_flag_poll = Site::acquire("tour.flag_poll");
+}  // namespace site
+
+template <typename Atomics = NativeAtomics>
 class TournamentBarrier {
+  template <typename T>
+  using Atomic = typename Atomics::template Atomic<T>;
+
  public:
   explicit TournamentBarrier(int num_threads)
       : num_threads_(num_threads),
@@ -38,15 +47,14 @@ class TournamentBarrier {
       const shape::TourStep& step =
           schedule_.steps[static_cast<std::size_t>(r)][static_cast<std::size_t>(tid)];
       switch (step.role) {
-        case shape::TourRole::kWinner: {
-          auto& f = flag(tid, r);
-          util::spin_until([&] {
-            return util::gen_reached(f.load(std::memory_order_acquire), e);
-          });
+        case shape::TourRole::kWinner:
+          Atomics::await(flag(tid, r), site::tour_flag_poll,
+                         [e](std::uint64_t v) {
+                           return util::gen_reached(v, e);
+                         });
           break;
-        }
         case shape::TourRole::kLoser:
-          flag(step.partner, r).store(e, std::memory_order_release);
+          flag(step.partner, r).store(e, site::tour_flag_set);
           lost = true;
           break;
         case shape::TourRole::kBye:
@@ -62,7 +70,7 @@ class TournamentBarrier {
   std::string name() const { return "TOUR"; }
 
  private:
-  std::atomic<std::uint64_t>& flag(int tid, int round) {
+  Atomic<std::uint64_t>& flag(int tid, int round) {
     return flags_[static_cast<std::size_t>(tid) *
                       static_cast<std::size_t>(schedule_.num_rounds()) +
                   static_cast<std::size_t>(round)]
@@ -71,9 +79,9 @@ class TournamentBarrier {
 
   int num_threads_;
   shape::PairTournamentSchedule schedule_;
-  std::vector<util::Padded<std::atomic<std::uint64_t>>> flags_;
+  std::vector<util::Padded<Atomic<std::uint64_t>>> flags_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
-  Notifier notifier_;
+  Notifier<Atomics> notifier_;
 };
 
 }  // namespace armbar

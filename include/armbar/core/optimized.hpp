@@ -43,6 +43,7 @@ struct OptimizedConfig {
 /// keeping one implementation guarantees the ablation variants measured in
 /// Figures 11-13 differ from the shipped barrier only in the parameter
 /// under study.
+template <typename Atomics = NativeAtomics>
 class OptimizedBarrier {
  public:
   explicit OptimizedBarrier(int num_threads, OptimizedConfig config = {})
@@ -68,7 +69,7 @@ class OptimizedBarrier {
   }
 
  private:
-  StaticFwayBarrier impl_;
+  StaticFwayBarrier<Atomics> impl_;
   OptimizedConfig config_;
 };
 

@@ -91,7 +91,4 @@ MetricsReport make_metrics(const topo::Machine& machine,
 /// Serialize to pretty-printed JSON (schema: docs/TRACING.md).
 std::string to_json(const MetricsReport& report);
 
-/// Render the per-phase breakdown as an aligned text table.
-std::string to_table(const MetricsReport& report);
-
 }  // namespace armbar::obs

@@ -1,10 +1,10 @@
 #pragma once
-// Litmus harness: run a reduced barrier model against the barrier
+// Litmus harness: run a checked barrier configuration against the barrier
 // postconditions under exhaustive interleaving.
 //
 // Per episode ep (1-based), every thread t does
 //     arrived[t].store(ep, relaxed);   // side-band, no ordering of its own
-//     model.wait(t);
+//     barrier.wait(t);
 //     for every other j: assert arrived[j] >= ep;
 // The relaxed side-band stores/loads carry no synchronization, so the
 // *barrier's* release/acquire edges are the only thing that can exclude
@@ -23,25 +23,22 @@
 namespace armbar::wmc {
 
 struct CheckConfig {
-  int threads = 0;   ///< 0 = model default
-  int episodes = 0;  ///< 0 = model default
-  Options engine;    ///< exploration budget / seed / etc.
+  int threads = 0;   ///< 0 = row default
+  int episodes = 0;  ///< 0 = row default
+  Options engine;    ///< budget / seed / the site to weaken (mutate)
 };
 
-/// Explore the model under the litmus harness.  @p mutation, if non-null,
-/// downgrades the named site to relaxed (sensitivity runs).
-Result check_barrier(const ModelInfo& info, const CheckConfig& config = {},
-                     const Mutation* mutation = nullptr);
+/// Explore the configuration under the litmus harness.
+Result check_barrier(const ModelInfo& info, const CheckConfig& config = {});
 
 struct MutationOutcome {
   std::string site;
-  bool detected = false;   ///< exploration reported a violation
-  bool exercised = false;  ///< the model consulted the mutated site
+  bool detected = false;  ///< exploration reported a violation
   std::uint64_t executions = 0;
 };
 
-/// Run one mutation per registered site of @p info.  A healthy model
-/// detects (and exercises) every one.
+/// Weaken, one at a time, every site a clean check of @p info consults.
+/// A healthy configuration detects every one.
 std::vector<MutationOutcome> mutation_suite(const ModelInfo& info,
                                             const CheckConfig& config = {});
 

@@ -8,11 +8,13 @@
 // ARMv8 many-cores with genuinely weak ordering, so "it passes on TSO"
 // says nothing about the orders actually chosen.  wmc turns the ordering
 // claims into mechanically checked facts (cf. the CNA-lock verification
-// work, arXiv 2111.15240): reduced 2–4 thread instances of each barrier
-// run against a shadow memory that tracks per-location modification order
-// and release/acquire happens-before edges, and a DFS scheduler
-// enumerates every interleaving — including executions where a load
-// returns a stale-but-coherent value that TSO could never produce.
+// work, arXiv 2111.15240): the shipped barrier headers, instantiated on
+// the checker's atomics policy (wmc::Atomics, models.hpp) at reduced 2–4
+// thread geometries, run against a shadow memory that tracks
+// per-location modification order and release/acquire happens-before
+// edges, and a DFS scheduler enumerates every interleaving — including
+// executions where a load returns a stale-but-coherent value that TSO
+// could never produce.
 //
 // The model, precisely:
 //  * One execution is one interleaving of *visible* operations (atomic
@@ -57,6 +59,8 @@
 #include <string>
 #include <vector>
 
+#include "armbar/barriers/atomics.hpp"
+
 namespace armbar::wmc {
 
 // ---------------------------------------------------------------------------
@@ -80,6 +84,9 @@ struct Options {
   bool no_sleep_sets = false;
   /// Cap on recorded schedule steps per violation trace.
   std::size_t max_trace_steps = 256;
+  /// Named order site (armbar::Site) to weaken to relaxed for the whole
+  /// exploration; empty checks the orders as declared.
+  std::string mutate;
 };
 
 struct Violation {
@@ -94,6 +101,7 @@ struct Result {
   std::uint64_t branch_points = 0;  ///< scheduling points with >1 option
   std::uint64_t sleep_pruned = 0;   ///< executions cut by sleep sets
   std::uint64_t deepest_history = 0;  ///< longest per-location mod order
+  std::vector<std::string> sites;  ///< named order sites consulted, sorted
   std::vector<Violation> violations;
 
   bool ok() const noexcept { return violations.empty(); }
@@ -114,17 +122,27 @@ class Env {
   /// Maximum number of model threads (fibers) per program.
   static constexpr int kMaxThreads = 4;
 
+  /// The Env of the exploration running on this thread (its program
+  /// factory or its thread bodies); every Atomic operation goes through
+  /// it.  Throws outside an exploration.
+  static Env& current();
+
   // -- used by Atomic<T> / await ------------------------------------------
   int register_location(const char* name);
   std::uint64_t do_load(int loc, std::memory_order order, const char* site);
   void do_store(int loc, std::uint64_t value, std::memory_order order,
                 const char* site);
-  enum class Rmw { kAdd, kSub, kExchange };
+  enum class Rmw { kAdd, kSub };
   std::uint64_t do_rmw(int loc, Rmw op, std::uint64_t operand,
                        std::memory_order order, const char* site);
   std::uint64_t do_await(int loc, std::memory_order order,
                          std::function<bool(std::uint64_t)> pred,
                          const char* site);
+
+  /// Order of a named site: relaxed if this exploration weakens it
+  /// (Options::mutate), its declared order otherwise.  Records the site in
+  /// Result::sites.
+  std::memory_order order_at(const Site& site);
 
   /// Record a violation observed by the running thread body (e.g. a
   /// postcondition failure).  The current execution continues so fibers
@@ -147,41 +165,51 @@ class Env {
 
 /// Shadow of std::atomic<T> for T in {int, unsigned, std::uint32_t,
 /// std::uint64_t, ...}: values are carried as raw 64-bit words.  The
-/// `site` argument names the access in violation traces and in
-/// docs/MEMORY_ORDERS.md certificates.
+/// `site` argument names the access in violation traces.  Every operation
+/// also takes an armbar::Site, whose order the Env resolves against the
+/// weakening under test: that is how the barrier headers run unchanged.
+/// Operations route through Env::current(), so an Atomic is one int, no
+/// larger than the std::atomic it shadows and the layouts it lives in.
 template <typename T>
 class Atomic {
  public:
-  Atomic(Env& env, const char* name) : env_(&env) {
-    loc_ = env.register_location(name);
-  }
+  Atomic(Env& env, const char* name) : loc_(env.register_location(name)) {}
+  /// Registers with Env::current(); this is what a barrier's
+  /// default-constructed flags and counters do.
+  Atomic() : Atomic(Env::current(), nullptr) {}
 
   T load(std::memory_order order, const char* site = "") const {
-    return static_cast<T>(env_->do_load(loc_, order, site));
+    return static_cast<T>(Env::current().do_load(loc_, order, site));
   }
   void store(T value, std::memory_order order, const char* site = "") {
-    env_->do_store(loc_, static_cast<std::uint64_t>(value), order, site);
+    Env::current().do_store(loc_, static_cast<std::uint64_t>(value), order,
+                            site);
   }
   T fetch_add(T value, std::memory_order order, const char* site = "") {
-    return static_cast<T>(env_->do_rmw(loc_, Env::Rmw::kAdd,
-                                       static_cast<std::uint64_t>(value),
-                                       order, site));
+    return static_cast<T>(Env::current().do_rmw(
+        loc_, Env::Rmw::kAdd, static_cast<std::uint64_t>(value), order, site));
   }
   T fetch_sub(T value, std::memory_order order, const char* site = "") {
-    return static_cast<T>(env_->do_rmw(loc_, Env::Rmw::kSub,
-                                       static_cast<std::uint64_t>(value),
-                                       order, site));
+    return static_cast<T>(Env::current().do_rmw(
+        loc_, Env::Rmw::kSub, static_cast<std::uint64_t>(value), order, site));
   }
-  T exchange(T value, std::memory_order order, const char* site = "") {
-    return static_cast<T>(env_->do_rmw(loc_, Env::Rmw::kExchange,
-                                       static_cast<std::uint64_t>(value),
-                                       order, site));
+
+  T load(const Site& s) const {
+    return load(Env::current().order_at(s), s.name);
+  }
+  void store(T value, const Site& s) {
+    store(value, Env::current().order_at(s), s.name);
+  }
+  T fetch_add(T value, const Site& s) {
+    return fetch_add(value, Env::current().order_at(s), s.name);
+  }
+  T fetch_sub(T value, const Site& s) {
+    return fetch_sub(value, Env::current().order_at(s), s.name);
   }
 
   int location() const noexcept { return loc_; }
 
  private:
-  Env* env_;
   int loc_;
 };
 
@@ -194,6 +222,12 @@ T await(Env& env, const Atomic<T>& flag, std::memory_order order, Pred pred,
   return static_cast<T>(env.do_await(
       flag.location(), order,
       [pred](std::uint64_t raw) { return pred(static_cast<T>(raw)); }, site));
+}
+
+template <typename T, typename Pred>
+T await(const Atomic<T>& flag, const Site& site, Pred pred) {
+  Env& env = Env::current();
+  return await(env, flag, env.order_at(site), pred, site.name);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,82 +1,60 @@
 #pragma once
-// Reduced wmc models of the native barriers.
+// The shipped native barriers, instantiated for the checker.
 //
-// Each model mirrors one native barrier's algorithm — same shape:: helper,
-// same access sequence, same memory orders — with std::atomic replaced by
-// wmc::Atomic and every spin loop replaced by wmc::await.  Every
-// load-bearing memory order is a *named site*: building the model with a
-// Mutation downgrades that one site to memory_order_relaxed, which is how
-// the sensitivity suite proves the checker would notice a regression at
-// that exact access.  Orders that are deliberately stronger than required
-// (e.g. the initial acquire load of a generation word) are not sites; they
-// are documented in docs/MEMORY_ORDERS.md instead.
+// Every hand-written barrier in include/armbar/barriers/ (and the
+// optimized barrier in core/) is a class template on an atomics policy
+// (barriers/atomics.hpp).  wmc::Atomics is the checker's policy: its
+// atomics are wmc::Atomic, and its spin-waits are wmc::await, so the
+// exploration runs the headers themselves, access for access.  A
+// multi-flag poll becomes one await per flag, in index order; natively
+// the flags are polled in one loop, which orders no access differently.
+//
+// The load-bearing orders are the armbar::Site constants declared in the
+// headers.  Checking with Options::mutate = "<site>" weakens that one
+// site to relaxed, which is how the mutation suite proves the checker
+// notices a regression at exactly that access.  Orders that are
+// deliberately stronger or weaker than a site are not sites; the header
+// comment at the access and docs/MEMORY_ORDERS.md say why.
 
 #include <functional>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "armbar/barriers/barrier.hpp"
 #include "armbar/wmc/engine.hpp"
 
 namespace armbar::wmc {
 
-/// A seeded weakening: the named site's order is downgraded to relaxed.
-/// `hit` records whether the model actually consulted the site, so the
-/// sensitivity suite can distinguish "not detected" from "not exercised".
-struct Mutation {
-  std::string site;
-  mutable bool hit = false;
+/// The checker's atomics policy.
+struct Atomics {
+  template <typename T>
+  using Atomic = wmc::Atomic<T>;
+
+  template <typename T, typename Pred>
+  static void await(const Atomic<T>& flag, const Site& site, Pred pred) {
+    wmc::await(flag, site, pred);
+  }
+
+  template <typename FlagOf, typename Pred>
+  static void await_all(int begin, int end, FlagOf flag_of, const Site& site,
+                        Pred pred) {
+    for (int i = begin; i < end; ++i) wmc::await(flag_of(i), site, pred);
+  }
 };
 
-/// Resolves each named site's memory order, downgrading the mutated one.
-class Orders {
- public:
-  explicit Orders(const Mutation* mutation) : mutation_(mutation) {}
-
-  std::memory_order rel(const char* site) const {
-    return pick(site, std::memory_order_release);
-  }
-  std::memory_order acq(const char* site) const {
-    return pick(site, std::memory_order_acquire);
-  }
-  std::memory_order acq_rel(const char* site) const {
-    return pick(site, std::memory_order_acq_rel);
-  }
-
- private:
-  std::memory_order pick(const char* site, std::memory_order strong) const {
-    if (mutation_ != nullptr && mutation_->site == site) {
-      mutation_->hit = true;
-      return std::memory_order_relaxed;
-    }
-    return strong;
-  }
-  const Mutation* mutation_;
-};
-
-/// One reduced barrier instance living inside an exploration.
-class BarrierModel {
- public:
-  virtual ~BarrierModel() = default;
-  virtual void wait(int tid) = 0;
-};
-
-/// Builds a model inside the (reset) Env.  Called once per execution.
-using ModelFactory = std::function<std::unique_ptr<BarrierModel>(
-    Env& env, int num_threads, const Mutation* mutation)>;
-
+/// One checked configuration: a real barrier under wmc::Atomics at a
+/// reduced geometry small enough to enumerate every interleaving.
 struct ModelInfo {
-  std::string name;     ///< short algorithm id ("sense", "cmb", ...)
-  std::string summary;  ///< one-line description for --list
-  int threads;          ///< default reduced-instance thread count (2..4)
-  int episodes;         ///< default episodes per execution (>= 2 where
-                        ///< feasible, to exercise re-arm / sense reuse)
-  std::vector<std::string> sites;  ///< load-bearing order sites
-  ModelFactory factory;
+  std::string name;  ///< factory algorithm id ("sense", "cmb", ...) or a
+                     ///< named variant ("stour-tree")
+  int threads;       ///< default reduced-instance thread count (2..4)
+  int episodes;      ///< default episodes per execution (>= 2 where
+                     ///< feasible, to exercise re-arm / sense reuse)
+  std::function<Barrier(int num_threads)> make;  ///< called per execution
 };
 
-/// Registry of all reduced barrier models, in stable order.
+/// Registry of all checked configurations, in stable order.
 const std::vector<ModelInfo>& all_models();
 
 /// Lookup by name; nullptr if unknown.

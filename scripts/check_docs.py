@@ -14,6 +14,8 @@
    measurement flags of bench/perf_sim).
 5. Every relative markdown link in the repo's *.md files must point at a
    file (or directory) that exists.
+6. docs/MEMORY_ORDERS.md has a row for every named order site the barrier
+   headers declare, with the declared order, and a section per barrier.
 
 Exit status 0 iff all checks pass; offending items are listed on stderr.
 """
@@ -156,43 +158,59 @@ def check_flag_coverage(errors):
                 )
 
 
-# Dotted wmc site names ("central.arrive") as they appear in the model
-# source; the doc lists each certified site as a `site` table row.
-SITE_RE = re.compile(r'"([a-z0-9]+\.[a-z0-9_]+)"')
-MODEL_RE = re.compile(r'ModelInfo\{\s*"([a-z0-9-]+)"')
-DOC_SITE_ROW_RE = re.compile(r"^\| `([a-z0-9]+\.[a-z0-9_]+)` \|",
-                             re.MULTILINE)
+# Named order sites as the barrier headers declare them, e.g.
+#   inline constexpr Site central_arrive = Site::acq_rel("central.arrive");
+SITE_DECL_RE = re.compile(
+    r'Site\s+\w+\s*=\s*Site::(\w+)\("([a-z0-9]+\.[a-z0-9_]+)"\)')
+# Classes templated on the atomics policy (barriers/atomics.hpp).
+POLICY_CLASS_RE = re.compile(
+    r"template <typename Atomics = NativeAtomics>\s*class (\w+)")
+
+
+def barrier_headers():
+    for sub in ("barriers", "core"):
+        yield from sorted((REPO / "include" / "armbar" / sub).glob("*.hpp"))
 
 
 def check_memory_orders(errors):
-    """docs/MEMORY_ORDERS.md must stay in lockstep with the wmc barrier
-    models: every registered model and every named atomic-access site in
-    src/wmc/models.cpp needs a row, and no row may name a site the
-    models no longer have.  The memory-order audit is only durable while
-    the table is complete."""
+    """docs/MEMORY_ORDERS.md must stay in lockstep with the shipped
+    barrier headers, which wmc model-checks directly: every Site a header
+    declares needs a `wmc: detected` row giving the same order, every
+    `wmc: detected` row must name a declared Site, and every class
+    templated on the atomics policy needs a section."""
     doc_path = REPO / "docs" / "MEMORY_ORDERS.md"
-    src_path = REPO / "src" / "wmc" / "models.cpp"
     if not doc_path.exists():
         errors.append("docs/MEMORY_ORDERS.md missing (memory-order audit)")
         return
-    if not src_path.exists():
-        errors.append("src/wmc/models.cpp missing but docs/MEMORY_ORDERS.md "
-                      "documents its sites")
-        return
+    sites, classes = {}, set()
+    for header in barrier_headers():
+        text = header.read_text()
+        sites.update((site, order)
+                     for order, site in SITE_DECL_RE.findall(text))
+        classes.update(POLICY_CLASS_RE.findall(text))
     doc = doc_path.read_text()
-    src = src_path.read_text()
-    src_sites = set(SITE_RE.findall(src))
-    for site in sorted(src_sites):
-        if ("`%s`" % site) not in doc:
-            errors.append("docs/MEMORY_ORDERS.md has no row for wmc site "
-                          "'%s'" % site)
-    for site in sorted(set(DOC_SITE_ROW_RE.findall(doc)) - src_sites):
-        errors.append("docs/MEMORY_ORDERS.md documents '%s' but "
-                      "src/wmc/models.cpp no longer names it" % site)
-    for model in sorted(set(MODEL_RE.findall(src))):
-        if ("model `%s`" % model) not in doc:
-            errors.append("docs/MEMORY_ORDERS.md has no section for wmc "
-                          "model '%s'" % model)
+    rows = {}  # site -> (order, certification)
+    for line in doc.splitlines():
+        cells = [c.strip() for c in line.split("|")]
+        if len(cells) > 3 and re.fullmatch(r"`[a-z0-9]+\.[a-z0-9_]+`",
+                                           cells[1]):
+            rows[cells[1].strip("`")] = (cells[3], cells[-2])
+    for site, order in sorted(sites.items()):
+        row = rows.get(site)
+        if row is None or row[1] != "wmc: detected":
+            errors.append("docs/MEMORY_ORDERS.md has no `wmc: detected` row "
+                          "for header site '%s'" % site)
+        elif row[0] != order:
+            errors.append("docs/MEMORY_ORDERS.md gives '%s' as %s, but its "
+                          "header declares %s" % (site, row[0], order))
+    for site, (_, cert) in sorted(rows.items()):
+        if cert == "wmc: detected" and site not in sites:
+            errors.append("docs/MEMORY_ORDERS.md certifies '%s', but no "
+                          "barrier header declares that site" % site)
+    for cls in sorted(classes):
+        if not re.search(r"^## .*`%s`" % cls, doc, re.MULTILINE):
+            errors.append("docs/MEMORY_ORDERS.md has no section for "
+                          "'%s'" % cls)
 
 
 # [text](target) -- excluding images and ``-quoted code spans; nested

@@ -27,38 +27,38 @@ std::string to_string(NotifyPolicy policy) {
 Barrier make_barrier(Algo algo, int num_threads, const MakeOptions& options) {
   switch (algo) {
     case Algo::kSense:
-      return Barrier::make<CentralSenseBarrier>(num_threads,
+      return Barrier::make<CentralSenseBarrier<>>(num_threads,
                                                 SenseLayout::kSeparated);
     case Algo::kGccSense:
-      return Barrier::make<CentralSenseBarrier>(num_threads,
+      return Barrier::make<CentralSenseBarrier<>>(num_threads,
                                                 SenseLayout::kPackedGcc);
     case Algo::kDissemination:
-      return Barrier::make<DisseminationBarrier>(num_threads);
+      return Barrier::make<DisseminationBarrier<>>(num_threads);
     case Algo::kCombiningTree:
-      return Barrier::make<CombiningTreeBarrier>(
+      return Barrier::make<CombiningTreeBarrier<>>(
           num_threads, options.fanin > 0 ? options.fanin : 2);
     case Algo::kMcsTree:
-      return Barrier::make<McsTreeBarrier>(num_threads);
+      return Barrier::make<McsTreeBarrier<>>(num_threads);
     case Algo::kTournament:
-      return Barrier::make<TournamentBarrier>(num_threads);
+      return Barrier::make<TournamentBarrier<>>(num_threads);
     case Algo::kStaticFway:
-      return Barrier::make<StaticFwayBarrier>(
+      return Barrier::make<StaticFwayBarrier<>>(
           num_threads, FwayOptions{.fanin = options.fanin,
                                    .layout = FlagLayout::kPacked32});
     case Algo::kStaticFwayPadded:
-      return Barrier::make<StaticFwayBarrier>(
+      return Barrier::make<StaticFwayBarrier<>>(
           num_threads, FwayOptions{.fanin = options.fanin,
                                    .layout = FlagLayout::kPaddedLine});
     case Algo::kStatic4WayPadded:
-      return Barrier::make<StaticFwayBarrier>(
+      return Barrier::make<StaticFwayBarrier<>>(
           num_threads, FwayOptions{.fanin = 4,
                                    .layout = FlagLayout::kPaddedLine});
     case Algo::kDynamicFway:
-      return Barrier::make<DynamicFwayBarrier>(num_threads, options.fanin);
+      return Barrier::make<DynamicFwayBarrier<>>(num_threads, options.fanin);
     case Algo::kHypercube:
-      return Barrier::make<HypercubeBarrier>(num_threads);
+      return Barrier::make<HypercubeBarrier<>>(num_threads);
     case Algo::kOptimized:
-      return Barrier::make<OptimizedBarrier>(
+      return Barrier::make<OptimizedBarrier<>>(
           num_threads,
           OptimizedConfig{
               .fanin = options.fanin > 0 ? options.fanin : 4,
@@ -70,20 +70,20 @@ Barrier make_barrier(Algo algo, int num_threads, const MakeOptions& options) {
     case Algo::kPthread:
       return Barrier::make<PthreadBarrier>(num_threads);
     case Algo::kHybrid:
-      return Barrier::make<HybridBarrier>(
+      return Barrier::make<HybridBarrier<>>(
           num_threads,
           options.cluster_size > 0 ? options.cluster_size : 4);
     case Algo::kNWayDissemination:
-      return Barrier::make<NWayDisseminationBarrier>(
+      return Barrier::make<NWayDisseminationBarrier<>>(
           num_threads, options.fanin > 0 ? options.fanin : 3);
     case Algo::kRing:
-      return Barrier::make<RingBarrier>(num_threads);
+      return Barrier::make<RingBarrier<>>(num_threads);
     case Algo::kClusterAmo:
-      return Barrier::make<ClusterAmoBarrier>(
+      return Barrier::make<ClusterAmoBarrier<>>(
           num_threads,
           options.cluster_size > 0 ? options.cluster_size : 4);
     case Algo::kCentral2:
-      return Barrier::make<CentralTwoLevelBarrier>(
+      return Barrier::make<CentralTwoLevelBarrier<>>(
           num_threads,
           options.cluster_size > 0 ? options.cluster_size : 4);
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <sstream>
 
-#include "armbar/util/table.hpp"
 #include "json_util.hpp"
 
 namespace armbar::obs {
@@ -145,54 +144,6 @@ std::string to_json(const MetricsReport& r) {
   os << "    \"dropped_spans\": " << r.dropped_spans << "\n";
   os << "  }\n";
   os << "}\n";
-  return os.str();
-}
-
-std::string to_table(const MetricsReport& r) {
-  std::ostringstream os;
-  os << "machine: " << r.machine_name << "  barrier: " << r.barrier_name
-     << "  threads: " << r.threads
-     << "  mean overhead: " << util::Table::num(r.mean_overhead_ns, 1)
-     << " ns\n\n";
-
-  util::Table phases("Per-phase breakdown");
-  phases.set_header({"phase", "span us", "crit us", "busy us", "reads",
-                     "writes", "rmws", "polls", "local", "remote", "rfo"});
-  for (const PhaseMetrics& m : r.phases) {
-    if (m.phase == Phase::kNone && m.reads + m.writes + m.rmws + m.polls == 0)
-      continue;  // nothing ran unattributed: keep the table tight
-    phases.add_row({to_string(m.phase), util::Table::num(m.span_ns / 1e3, 2),
-                    util::Table::num(m.critical_span_ns / 1e3, 2),
-                    util::Table::num(m.busy_ns / 1e3, 2),
-                    std::to_string(m.reads), std::to_string(m.writes),
-                    std::to_string(m.rmws), std::to_string(m.polls),
-                    std::to_string(m.local_ops),
-                    std::to_string(m.remote_transfers),
-                    std::to_string(m.rfo_invalidations)});
-  }
-  os << phases.to_text() << '\n';
-
-  util::Table layers("Remote transfers by latency layer");
-  // "other" carries unattributed (Phase::kNone) transfers so each row's
-  // phase columns reconcile with the total column exactly (asserted in
-  // tests/test_obs.cpp).
-  layers.set_header(
-      {"layer", "name", "arrival", "notification", "other", "total"});
-  for (std::size_t l = 0; l < r.layer_names.size(); ++l) {
-    const auto at = [&](Phase p) -> std::uint64_t {
-      const auto& v =
-          r.phases[static_cast<std::size_t>(p)].layer_transfers;
-      return l < v.size() ? v[l] : 0;
-    };
-    const std::uint64_t total =
-        l < r.totals.layer_transfers.size() ? r.totals.layer_transfers[l] : 0;
-    layers.add_row({"L" + std::to_string(l), r.layer_names[l],
-                    std::to_string(at(Phase::kArrival)),
-                    std::to_string(at(Phase::kNotification)),
-                    std::to_string(at(Phase::kNone)),
-                    std::to_string(total)});
-  }
-  os << layers.to_text();
   return os.str();
 }
 

@@ -13,8 +13,7 @@ constexpr const char* kArrivedNames[Env::kMaxThreads] = {
 
 }  // namespace
 
-Result check_barrier(const ModelInfo& info, const CheckConfig& config,
-                     const Mutation* mutation) {
+Result check_barrier(const ModelInfo& info, const CheckConfig& config) {
   const int threads = config.threads > 0 ? config.threads : info.threads;
   const int episodes = config.episodes > 0 ? config.episodes : info.episodes;
   if (threads < 1 || threads > Env::kMaxThreads)
@@ -22,16 +21,15 @@ Result check_barrier(const ModelInfo& info, const CheckConfig& config,
   if (episodes < 1)
     throw std::invalid_argument("check_barrier: episodes must be >= 1");
 
-  const Program make = [&info, mutation, threads,
-                        episodes](Env& env) -> ThreadFn {
+  const Program make = [&info, threads, episodes](Env& env) -> ThreadFn {
     // Per-execution state shared by all fibers.  The shared_ptr keeps it
     // alive for as long as any fiber body does.
     struct State {
-      std::unique_ptr<BarrierModel> model;
+      Barrier barrier;
       std::vector<Atomic<std::uint64_t>> arrived;
     };
     auto state = std::make_shared<State>();
-    state->model = info.factory(env, threads, mutation);
+    state->barrier = info.make(threads);
     state->arrived.reserve(static_cast<std::size_t>(threads));
     for (int t = 0; t < threads; ++t)
       state->arrived.emplace_back(env, kArrivedNames[t]);
@@ -46,7 +44,7 @@ Result check_barrier(const ModelInfo& info, const CheckConfig& config,
         state->arrived[static_cast<std::size_t>(tid)].store(
             static_cast<std::uint64_t>(ep), std::memory_order_relaxed,
             "litmus.announce");
-        state->model->wait(tid);
+        state->barrier.wait(tid);
         for (int j = 0; j < threads; ++j) {
           if (j == tid) continue;
           const std::uint64_t seen =
@@ -70,18 +68,16 @@ Result check_barrier(const ModelInfo& info, const CheckConfig& config,
 
 std::vector<MutationOutcome> mutation_suite(const ModelInfo& info,
                                             const CheckConfig& config) {
+  CheckConfig clean = config;
+  clean.engine.mutate.clear();
+  const Result baseline = check_barrier(info, clean);
   std::vector<MutationOutcome> out;
-  out.reserve(info.sites.size());
-  for (const std::string& site : info.sites) {
-    Mutation m;
-    m.site = site;
-    const Result r = check_barrier(info, config, &m);
-    MutationOutcome outcome;
-    outcome.site = site;
-    outcome.detected = !r.ok();
-    outcome.exercised = m.hit;
-    outcome.executions = r.executions;
-    out.push_back(std::move(outcome));
+  out.reserve(baseline.sites.size());
+  for (const std::string& site : baseline.sites) {
+    CheckConfig mutated = clean;
+    mutated.engine.mutate = site;
+    const Result r = check_barrier(info, mutated);
+    out.push_back(MutationOutcome{site, !r.ok(), r.executions});
   }
   return out;
 }

@@ -12,6 +12,7 @@
 
 #include <ucontext.h>
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <cstring>
@@ -78,7 +79,7 @@ struct StoreRec {
 };
 
 struct LocationRec {
-  const char* name = "";
+  const char* name = nullptr;  ///< nullptr: rendered as loc<index>
   std::vector<StoreRec> history;  ///< modification order, [0] = init
 };
 
@@ -129,7 +130,7 @@ struct BranchNode {
 struct TraceStep {
   int tid;
   OpKind kind;
-  const char* loc_name;
+  int loc;
   const char* site;
   std::uint64_t value;
   int read;
@@ -178,8 +179,10 @@ class Engine {
   std::uint64_t do_await(int loc, std::memory_order order,
                          std::function<bool(std::uint64_t)> pred,
                          const char* site);
+  std::memory_order order_at(const Site& site);
   void fail(std::string kind, std::string detail);
   int current_thread() const noexcept { return current_tid_; }
+  Env& env() noexcept { return env_; }
 
   void fiber_main(int tid);
 
@@ -226,6 +229,7 @@ class Engine {
   int current_tid_ = -1;
 
   // Exploration state
+  std::vector<const char*> sites_;  ///< Site names consulted so far
   std::vector<BranchNode> stack_;
   Result result_;
   bool stop_ = false;
@@ -241,6 +245,7 @@ class Engine {
 namespace {
 thread_local Engine* tl_engine = nullptr;
 thread_local int tl_entry_tid = 0;
+thread_local Env* tl_env = nullptr;  ///< Env of the running exploration
 
 extern "C" void armbar_wmc_trampoline() {
   tl_engine->fiber_main(tl_entry_tid);
@@ -270,6 +275,14 @@ std::uint64_t Env::do_await(int loc, std::memory_order order,
                             std::function<bool(std::uint64_t)> pred,
                             const char* site) {
   return engine_.do_await(loc, order, std::move(pred), site);
+}
+Env& Env::current() {
+  if (tl_env == nullptr)
+    throw std::logic_error("wmc: Atomic used outside an exploration");
+  return *tl_env;
+}
+std::memory_order Env::order_at(const Site& site) {
+  return engine_.order_at(site);
 }
 void Env::fail(std::string kind, std::string detail) {
   engine_.fail(std::move(kind), std::move(detail));
@@ -309,6 +322,12 @@ void Engine::candidate_range(int tid, int loc, std::uint32_t* lo,
   *hi = static_cast<std::uint32_t>(h.size()) - 1;
 }
 
+std::memory_order Engine::order_at(const Site& site) {
+  if (std::find(sites_.begin(), sites_.end(), site.name) == sites_.end())
+    sites_.push_back(site.name);
+  return opt_.mutate == site.name ? std::memory_order_relaxed : site.order;
+}
+
 // ---------------------------------------------------------------------------
 // Visible operations (fiber side)
 // ---------------------------------------------------------------------------
@@ -329,9 +348,8 @@ std::uint64_t Engine::visible_op(PendingOp op) {
         return 0;
       case OpKind::kRmw: {
         const std::uint64_t old = init.value;
-        init.value = op.rmw == Env::Rmw::kAdd   ? old + op.operand
-                     : op.rmw == Env::Rmw::kSub ? old - op.operand
-                                                : op.operand;
+        init.value =
+            op.rmw == Env::Rmw::kAdd ? old + op.operand : old - op.operand;
         return old;
       }
       default:
@@ -415,9 +433,8 @@ std::uint64_t Engine::apply_pending(int tid) {
       std::uint64_t value = op.operand;
       if (op.kind == OpKind::kRmw) {
         out = prev.value;
-        value = op.rmw == Env::Rmw::kAdd   ? prev.value + op.operand
-                : op.rmw == Env::Rmw::kSub ? prev.value - op.operand
-                                           : op.operand;
+        value = op.rmw == Env::Rmw::kAdd ? prev.value + op.operand
+                                         : prev.value - op.operand;
         if (is_acquire(op.order) && prev.has_msg) ts.clock.join(prev.msg);
       }
       ts.clock.c[static_cast<std::size_t>(tid)]++;  // new write event
@@ -449,9 +466,8 @@ std::uint64_t Engine::apply_pending(int tid) {
   }
 
   if (trace_.size() < opt_.max_trace_steps) {
-    trace_.push_back(TraceStep{tid, op.kind,
-                               locs_[static_cast<std::size_t>(op.loc)].name,
-                               op.site, out, ts.granted_read});
+    trace_.push_back(
+        TraceStep{tid, op.kind, op.loc, op.site, out, ts.granted_read});
     if (op.kind == OpKind::kStore || op.kind == OpKind::kRmw)
       trace_.back().value = h.back().value;
   }
@@ -658,6 +674,7 @@ Engine::RunEnd Engine::run_execution(bool random_mode, std::mt19937_64* rng) {
 
 Result Engine::run() {
   result_ = Result{};
+  sites_.clear();
   stack_.clear();
   stop_ = false;
 
@@ -692,6 +709,10 @@ Result Engine::run() {
       result_.executions++;
     }
   }
+  result_.sites.assign(sites_.begin(), sites_.end());
+  std::sort(result_.sites.begin(), result_.sites.end());
+  result_.sites.erase(std::unique(result_.sites.begin(), result_.sites.end()),
+                      result_.sites.end());
   return result_;
 }
 
@@ -718,20 +739,23 @@ std::vector<std::string> Engine::render_trace() const {
   out.reserve(trace_.size());
   for (const TraceStep& s : trace_) {
     std::ostringstream os;
+    const char* name = locs_[static_cast<std::size_t>(s.loc)].name;
+    const std::string loc_name =
+        name != nullptr ? name : "loc" + std::to_string(s.loc);
     os << "t" << s.tid << ": ";
     switch (s.kind) {
       case OpKind::kLoad:
-        os << "load(" << s.loc_name << ")[mo#" << s.read << "] -> " << s.value;
+        os << "load(" << loc_name << ")[mo#" << s.read << "] -> " << s.value;
         break;
       case OpKind::kAwait:
-        os << "await(" << s.loc_name << ")[mo#" << s.read << "] -> "
+        os << "await(" << loc_name << ")[mo#" << s.read << "] -> "
            << s.value;
         break;
       case OpKind::kStore:
-        os << "store(" << s.loc_name << ") := " << s.value;
+        os << "store(" << loc_name << ") := " << s.value;
         break;
       case OpKind::kRmw:
-        os << "rmw(" << s.loc_name << ") -> " << s.value;
+        os << "rmw(" << loc_name << ") -> " << s.value;
         break;
       default:
         os << "?";
@@ -791,7 +815,15 @@ void Engine::final_yield(int tid) {
 
 Result explore(int num_threads, const Program& make, const Options& options) {
   Engine engine(num_threads, make, options);
-  return engine.run();
+  Env* const outer = std::exchange(tl_env, &engine.env());
+  try {
+    Result r = engine.run();
+    tl_env = outer;
+    return r;
+  } catch (...) {
+    tl_env = outer;
+    throw;
+  }
 }
 
 }  // namespace armbar::wmc

@@ -98,7 +98,7 @@ class NotifySweep
 
 TEST_P(NotifySweep, OptimizedBarrierSynchronizes) {
   const auto [policy, threads, cluster] = GetParam();
-  Barrier b = Barrier::make<OptimizedBarrier>(
+  Barrier b = Barrier::make<OptimizedBarrier<>>(
       threads,
       OptimizedConfig{.fanin = 4, .notify = policy, .cluster_size = cluster});
   check_barrier_synchronizes(b, threads, 20, 7);
@@ -119,7 +119,7 @@ class FwaySweep : public ::testing::TestWithParam<std::tuple<int, int>> {};
 TEST_P(FwaySweep, PackedAndPaddedLayoutsSynchronize) {
   const auto [threads, fanin] = GetParam();
   for (FlagLayout layout : {FlagLayout::kPacked32, FlagLayout::kPaddedLine}) {
-    Barrier b = Barrier::make<StaticFwayBarrier>(
+    Barrier b = Barrier::make<StaticFwayBarrier<>>(
         threads, FwayOptions{.fanin = fanin, .layout = layout});
     check_barrier_synchronizes(b, threads, 15, 11);
   }
@@ -147,7 +147,7 @@ TEST(CentralSense, PackedAndSeparatedBothWork) {
 }
 
 TEST(Barrier, TypeErasureForwardsCalls) {
-  Barrier b = Barrier::make<CentralSenseBarrier>(2);
+  Barrier b = Barrier::make<CentralSenseBarrier<>>(2);
   EXPECT_EQ(b.num_threads(), 2);
   EXPECT_EQ(b.name(), "SENSE");
   EXPECT_TRUE(static_cast<bool>(b));
@@ -250,7 +250,7 @@ TEST(ParallelRun, PropagatesException) {
 // Stress: one longer mixed-episode run on the optimized barrier.
 TEST(Stress, OptimizedBarrierManyEpisodes) {
   constexpr int kThreads = 6;
-  Barrier b = Barrier::make<OptimizedBarrier>(
+  Barrier b = Barrier::make<OptimizedBarrier<>>(
       kThreads, OptimizedConfig{.fanin = 4,
                                 .notify = NotifyPolicy::kNumaTree,
                                 .cluster_size = 2});

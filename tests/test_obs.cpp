@@ -125,11 +125,6 @@ TEST(Metrics, JsonAndTableRender) {
     EXPECT_NE(json.find(key), std::string::npos) << key;
   EXPECT_NE(json.find("\"phase\": \"arrival\""), std::string::npos);
   EXPECT_NE(json.find("\"phase\": \"notification\""), std::string::npos);
-
-  const std::string table = to_table(r);
-  EXPECT_NE(table.find("arrival"), std::string::npos);
-  EXPECT_NE(table.find("notification"), std::string::npos);
-  EXPECT_NE(table.find("L0"), std::string::npos);
 }
 
 TEST(Metrics, CriticalSpanIsPositiveAndBelowTotalSpan) {
@@ -147,15 +142,11 @@ TEST(Metrics, CriticalSpanIsPositiveAndBelowTotalSpan) {
 }
 
 TEST(Metrics, LayersTableRowsReconcile) {
-  // The layers table carries an "other" column for unattributed
-  // (Phase::kNone) transfers precisely so each row reconciles:
+  // Unattributed (Phase::kNone) transfers close the per-layer identity:
   // arrival + notification + other == total, per layer.
   TracedRun run(Algo::kOptimized, 16, topo::kunpeng920());
   const MetricsReport r =
       make_metrics(run.machine, run.cfg, run.result, run.tracer);
-  const std::string table = to_table(r);
-  EXPECT_NE(table.find("other"), std::string::npos);
-  EXPECT_NE(table.find("crit us"), std::string::npos);
   const auto at = [&](Phase p, std::size_t l) -> std::uint64_t {
     const auto& v = r.phases[static_cast<std::size_t>(p)].layer_transfers;
     return l < v.size() ? v[l] : 0;
