@@ -43,8 +43,11 @@ class McsTreeBarrier {
       : num_threads_(checked(num_threads)),
         nodes_(static_cast<std::size_t>(num_threads_)),
         wake_(static_cast<std::size_t>(num_threads_)),
-        epoch_(static_cast<std::size_t>(num_threads_)) {
+        epoch_(static_cast<std::size_t>(num_threads_)),
+        wake_children_(static_cast<std::size_t>(num_threads_)) {
     for (int t = 0; t < num_threads; ++t) {
+      wake_children_[static_cast<std::size_t>(t)] =
+          shape::McsShape::wakeup_children(t, num_threads);
       Node& n = nodes_[static_cast<std::size_t>(t)].value;
       n.num_children = static_cast<int>(
           shape::McsShape::arrival_children(t, num_threads).size());
@@ -91,7 +94,7 @@ class McsTreeBarrier {
                        return util::gen_reached(v, e);
                      });
     }
-    for (int c : shape::McsShape::wakeup_children(tid, num_threads_))
+    for (int c : wake_children_[static_cast<std::size_t>(tid)])
       wake_[static_cast<std::size_t>(c)].value.store(e, site::mcs_wake_set);
   }
 
@@ -116,6 +119,7 @@ class McsTreeBarrier {
   std::vector<util::Padded<Node>> nodes_;
   std::vector<util::Padded<Atomic<std::uint64_t>>> wake_;
   std::vector<util::Padded<std::uint64_t>> epoch_;
+  std::vector<std::vector<int>> wake_children_;  ///< binary wake-up tree
 };
 
 }  // namespace armbar

@@ -2,9 +2,10 @@
 // armbar::svc — the long-running "barrier lab" sweep service.
 //
 // sweep_cli's one-shot path answers one job list and exits; this module
-// is the sustained-throughput counterpart: a pool of persistent workers
-// fed through lock-free SPSC rings by one intake thread,
-// machine/topology/latency tables resolved once per worker and reused
+// is the sustained-throughput counterpart: one intake thread that parses
+// each job, keys it and answers a cache hit itself, a pool of persistent
+// workers fed only the misses through lock-free SPSC rings,
+// machine/topology/latency tables resolved once per service and reused
 // across jobs, and a sharded result cache keyed on every simulation input
 // so a repeated cell costs a hash lookup instead of a simulation.
 //

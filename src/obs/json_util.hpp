@@ -10,6 +10,7 @@
 //    emitted as "null" where the schema allows it, or clamped to 0 where
 //    a number is required (Perfetto timestamps).
 
+#include <charconv>
 #include <cmath>
 #include <locale>
 #include <sstream>
@@ -24,13 +25,14 @@ inline std::ostringstream json_stream() {
   return os;
 }
 
-/// Finite double in classic-locale formatting; NaN/Inf become "null".
+/// Finite double as a classic-locale stream prints it (%g, 6 digits);
+/// NaN/Inf become "null".  std::to_chars never reads the locale.
 inline std::string json_num(double v) {
   if (!std::isfinite(v)) return "null";
-  std::ostringstream os;
-  os.imbue(std::locale::classic());
-  os << v;
-  return os.str();
+  char buf[32];
+  return std::string(
+      buf, std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                         6).ptr);
 }
 
 /// Like json_num, but clamps non-finite values to 0 for schema positions

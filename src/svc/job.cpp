@@ -1,8 +1,8 @@
 #include "armbar/svc/job.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <string>
 
@@ -173,15 +173,21 @@ int require_int(const std::string& key, double v, long lo, long hi) {
   return static_cast<int>(v);
 }
 
-/// Canonical shortest-roundtrip rendering for doubles in cache keys
-/// (locale-independent: %g never consults the global locale's grouping,
-/// and the decimal point is forced to '.' by construction below).
-std::string key_num(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  for (char& c : buf)
-    if (c == ',') c = '.';  // comma-decimal C locale hardening
-  return buf;
+/// Append a number to a cache key.  std::to_chars ignores the locale,
+/// and for a double it writes the shortest text that reads back to the
+/// same value, so two doubles render alike only when they are identical.
+template <typename T>
+void append_num(std::string& key, T v) {
+  char buf[32];
+  key.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/// Append a name with its length first, so no name can borrow the
+/// separators of the fields after it.
+void append_str(std::string& key, const std::string& s) {
+  append_num(key, s.size());
+  key += ':';
+  key += s;
 }
 
 }  // namespace
@@ -244,49 +250,49 @@ JobSpec parse_job_line(const std::string& line) {
 }
 
 std::string cache_key(const JobSpec& spec) {
-  // Fixed field order; '|' never occurs in machine/algo/placement names
-  // that resolve, and even if it did the positional layout keeps keys of
-  // different specs distinct (every field is always present).
+  // Fixed field order, every field always present, names length-prefixed:
+  // distinct specs give distinct keys.
+  const fault::FaultSpec& f = spec.fault;
   std::string key;
-  key.reserve(128);
-  key += "v";
-  key += std::to_string(kCacheSchemaVersion);
+  key.reserve(160);
+  key += 'v';
+  append_num(key, kCacheSchemaVersion);
   key += "|m=";
-  key += spec.machine;
+  append_str(key, spec.machine);
   key += "|a=";
-  key += spec.algo;
+  append_str(key, spec.algo);
   key += "|t=";
-  key += std::to_string(spec.threads);
+  append_num(key, spec.threads);
   key += "|i=";
-  key += std::to_string(spec.iterations);
+  append_num(key, spec.iterations);
   key += "|w=";
-  key += std::to_string(spec.effective_warmup());
+  append_num(key, spec.effective_warmup());
   key += "|p=";
-  key += spec.placement;
+  append_str(key, spec.placement);
   key += "|np=";
-  key += key_num(spec.fault.noise.period_us);
+  append_num(key, f.noise.period_us);
   key += "|nd=";
-  key += key_num(spec.fault.noise.duration_us);
+  append_num(key, f.noise.duration_us);
   key += "|bi=";
-  key += key_num(spec.fault.burst.interval_us);
+  append_num(key, f.burst.interval_us);
   key += "|bd=";
-  key += key_num(spec.fault.burst.duration_us);
+  append_num(key, f.burst.duration_us);
   key += "|sf=";
-  key += key_num(spec.fault.straggler.fraction);
+  append_num(key, f.straggler.fraction);
   key += "|ss=";
-  key += key_num(spec.fault.straggler.slowdown);
+  append_num(key, f.straggler.slowdown);
   key += "|sd=";
-  key += key_num(spec.fault.straggler.dwell_us);
+  append_num(key, f.straggler.dwell_us);
   key += "|ll=";
-  key += std::to_string(spec.fault.link.min_layer);
+  append_num(key, f.link.min_layer);
   key += "|lf=";
-  key += key_num(spec.fault.link.factor);
+  append_num(key, f.link.factor);
   key += "|fi=";
-  key += key_num(spec.fault.link.flap_interval_us);
+  append_num(key, f.link.flap_interval_us);
   key += "|fd=";
-  key += key_num(spec.fault.link.flap_duration_us);
+  append_num(key, f.link.flap_duration_us);
   key += "|fs=";
-  key += std::to_string(spec.fault.seed);
+  append_num(key, f.seed);
   return key;
 }
 

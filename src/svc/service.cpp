@@ -140,8 +140,8 @@ simbar::SimBarrierFactory make_factory(const JobSpec& spec,
 /// Machine pool: every named topology (and its fused latency/layer
 /// tables, the expensive part of engine setup) is constructed once per
 /// service and served by stable const reference for the rest of the
-/// process.  Workers keep a private pointer cache in front of this, so
-/// the mutex is touched once per (worker, machine), not once per job.
+/// process.  Only a cache miss looks a machine up, so the mutex is
+/// touched once per simulation, which costs far more than the lock.
 class MachineRegistry {
  public:
   const topo::Machine& get(const std::string& name) {
@@ -253,10 +253,12 @@ bool is_comment_prefix(const std::string& line) {
 // -- the daemon pipeline ---------------------------------------------------
 
 struct SweepService::Impl {
+  /// A cache miss, parsed and keyed by intake.
   struct Request {
     std::uint64_t seq = 0;  ///< reorder-window sequence, never reused
     std::uint64_t job = 0;  ///< index within the current serve() batch
-    std::string line;
+    JobSpec spec;
+    std::string key;
   };
 
   /// One reorder-window slot: a publisher fills `entry`, then stores
@@ -325,8 +327,6 @@ struct SweepService::Impl {
   }
 
   void worker_loop(Worker& self) {
-    // Worker-private pointer cache in front of the shared registry.
-    std::unordered_map<std::string, const topo::Machine*> local_machines;
     int idle = 0;
     for (;;) {
       std::unique_ptr<Request> req;
@@ -345,7 +345,7 @@ struct SweepService::Impl {
         }
       }
       idle = 0;
-      process(*req, local_machines);
+      process(*req);
     }
   }
 
@@ -372,55 +372,26 @@ struct SweepService::Impl {
     if (w.parked.load(std::memory_order_relaxed)) w.wake();
   }
 
-  void process(const Request& req,
-               std::unordered_map<std::string, const topo::Machine*>&
-                   local_machines) {
-    std::shared_ptr<const CachedResult> entry;
-    try {
-      const JobSpec spec = parse_job_line(req.line);
-      const std::string key = cache_key(spec);
-      if (opts.use_cache) entry = cache.find(key);
-      if (!entry) {
-        // Warm the worker-local machine cache as a side effect so the
-        // shared registry mutex is off the steady-state path.
-        const auto it = local_machines.find(spec.machine);
-        if (it == local_machines.end()) {
-          // May throw for an unknown machine: compute_cell repeats the
-          // lookup under its own classification, so just probe.
-          try {
-            local_machines.emplace(spec.machine, &registry.get(spec.machine));
-          } catch (const std::exception&) {
-            // Leave resolution (and the error entry) to compute_cell.
-          }
-        }
-        std::shared_ptr<CachedResult> computed;
-        for (int attempt = 1;; ++attempt) {
-          computed = compute_cell(spec, registry, opts.job_deadline_ms);
-          if (!(computed->failed && computed->transient) ||
-              attempt >= opts.max_attempts)
-            break;
-          retries.fetch_add(1, std::memory_order_relaxed);
-          retry_pause(req.job, attempt);
-        }
-        if (computed->failed && computed->deadline)
-          deadline_errors.fetch_add(1, std::memory_order_relaxed);
-        // Transient verdicts are host state, not cell state: caching one
-        // would replay it for every later occurrence of the cell and
-        // break byte-identity with the one-shot path, which recomputes
-        // each occurrence.
-        if (opts.use_cache && !(computed->failed && computed->transient))
-          cache.insert(key, computed);
-        entry = std::move(computed);
-      }
-    } catch (const std::exception& e) {
-      // Only parse_job_line throws to here; everything later is
-      // classified inside compute_cell.
-      auto err = std::make_shared<CachedResult>();
-      err->failed = true;
-      err->tail = render_error_tail("parse-error", e.what(), "");
-      entry = std::move(err);
+  /// Compute a miss (with transient retries), cache it, and publish it.
+  void process(const Request& req) {
+    std::shared_ptr<CachedResult> computed;
+    for (int attempt = 1;; ++attempt) {
+      computed = compute_cell(req.spec, registry, opts.job_deadline_ms);
+      if (!(computed->failed && computed->transient) ||
+          attempt >= opts.max_attempts)
+        break;
+      retries.fetch_add(1, std::memory_order_relaxed);
+      retry_pause(req.job, attempt);
     }
-    post(req.seq, std::move(entry));
+    if (computed->failed && computed->deadline)
+      deadline_errors.fetch_add(1, std::memory_order_relaxed);
+    // Transient verdicts are host state, not cell state: caching one
+    // would replay it for every later occurrence of the cell and break
+    // byte-identity with the one-shot path, which recomputes each
+    // occurrence.
+    if (opts.use_cache && !(computed->failed && computed->transient))
+      cache.insert(req.key, computed);
+    post(req.seq, std::move(computed));
     // Dekker pair with intake's read window (serve()): this side stores
     // `published` (in post), then loads `intake_reading`; intake stores
     // `intake_reading`, then loads `published` (in drain_locked).  Either
@@ -581,6 +552,7 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   const std::uint64_t base = impl.open_batch(out);
   std::uint64_t submitted = base;
   std::uint64_t emitted = base;  // intake's view of impl.emitted
+  std::uint64_t misses = 0;      // round-robin cursor over the workers
   ServiceStats stats;
 
   // Emit what is ready, then catch intake's view up with every record
@@ -590,13 +562,16 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
     emitted = impl.emitted.load(std::memory_order_acquire);
   };
 
-  // Answer the next job with an error record without queueing it.
+  // Answer the next job on this thread, without queueing it.
+  const auto answer = [&](std::shared_ptr<const CachedResult> entry) {
+    impl.post(submitted++, std::move(entry));
+    drain();
+  };
   const auto post_error = [&](std::string tail) {
     auto e = std::make_shared<CachedResult>();
     e->failed = true;
     e->tail = std::move(tail);
-    impl.post(submitted++, std::move(e));
-    drain();
+    answer(std::move(e));
   };
 
   util::SpinWait waiter;
@@ -642,11 +617,25 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
           ""));
       continue;
     }
-    auto req = std::make_unique<Impl::Request>();
-    req->seq = submitted;
-    req->job = submitted - base;
-    req->line = std::move(line);
-    Impl::Worker& target = *impl.workers[(submitted - base) % uworkers];
+    // Intake answers parse errors and cache hits itself; only a miss is
+    // worth a worker's wake-up.
+    JobSpec spec;
+    try {
+      spec = parse_job_line(line);
+    } catch (const std::exception& e) {
+      post_error(render_error_tail("parse-error", e.what(), ""));
+      continue;
+    }
+    std::string key = cache_key(spec);
+    if (impl.opts.use_cache) {
+      if (auto hit = impl.cache.find(key)) {
+        answer(std::move(hit));
+        continue;
+      }
+    }
+    auto req = std::make_unique<Impl::Request>(Impl::Request{
+        submitted, submitted - base, std::move(spec), std::move(key)});
+    Impl::Worker& target = *impl.workers[misses++ % uworkers];
     while (!target.ring.try_push(std::move(req))) {
       drain();
       waiter.step();

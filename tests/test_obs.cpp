@@ -4,10 +4,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <locale>
+#include <random>
+#include <sstream>
 #include <string>
+#include <vector>
 
+#include "../src/obs/json_util.hpp"
 #include "armbar/obs/metrics.hpp"
 #include "armbar/obs/native_phase.hpp"
 #include "armbar/obs/perfetto.hpp"
@@ -194,6 +200,30 @@ TEST(Metrics, JsonIsLocaleIndependent) {
       reference.substr(at + key.size(), end - at - key.size());
   EXPECT_EQ(value.find_first_not_of("0123456789.eE+-"), std::string::npos)
       << value;
+}
+
+TEST(Metrics, JsonNumMatchesClassicStream) {
+  std::vector<double> values = {
+      0.0,      -0.0,         1.0,      -1.0,    0.1,    1e-5,   1e-4,
+      123456.5, 999999.5,     1234567., 5e-324,  1e300,  -1e300, 2.5,
+      1117.41,  1.0 / 3.0,    std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::min()};
+  std::mt19937_64 rng(7);
+  while (values.size() < 20000) {
+    const std::uint64_t bits = rng();
+    double v;
+    std::memcpy(&v, &bits, sizeof v);
+    if (std::isfinite(v)) values.push_back(v);
+  }
+  const auto classic = [](double v) {
+    std::ostringstream os;
+    os.imbue(std::locale::classic());
+    os << v;
+    return os.str();
+  };
+  for (const double v : values) ASSERT_EQ(detail::json_num(v), classic(v));
+  GlobalLocaleGuard guard;
+  for (const double v : values) ASSERT_EQ(detail::json_num(v), classic(v));
 }
 
 TEST(Metrics, NonFiniteValuesSerializeAsNull) {

@@ -7,11 +7,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
+#include <cstring>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <sstream>
 #include <streambuf>
 #include <string>
@@ -228,6 +232,82 @@ TEST(CacheKey, CarriesSchemaVersion) {
   EXPECT_EQ(svc::cache_key(svc::JobSpec{}).rfind(
                 "v" + std::to_string(svc::kCacheSchemaVersion) + "|", 0),
             0u);
+}
+
+/// Equality as the simulation sees a spec, field by field: warmup by its
+/// effective value, doubles by bit pattern (so 0 and -0 differ).
+bool same_spec(const svc::JobSpec& a, const svc::JobSpec& b) {
+  const auto doubles = [](const svc::JobSpec& s) {
+    const fault::FaultSpec& f = s.fault;
+    return std::array<double, 10>{
+        f.noise.period_us,    f.noise.duration_us,  f.burst.interval_us,
+        f.burst.duration_us,  f.straggler.fraction, f.straggler.slowdown,
+        f.straggler.dwell_us, f.link.factor,        f.link.flap_interval_us,
+        f.link.flap_duration_us};
+  };
+  const auto da = doubles(a), db = doubles(b);
+  return a.machine == b.machine && a.algo == b.algo &&
+         a.placement == b.placement && a.threads == b.threads &&
+         a.iterations == b.iterations &&
+         a.effective_warmup() == b.effective_warmup() &&
+         a.fault.link.min_layer == b.fault.link.min_layer &&
+         a.fault.seed == b.fault.seed &&
+         std::memcmp(da.data(), db.data(), sizeof da) == 0;
+}
+
+TEST(CacheKey, EqualExactlyWhenSpecsAreEqual) {
+  // Small domains so equal specs come up often; names mix in the key's
+  // own separators, and doubles include neighbours one ulp apart.
+  const std::vector<std::string> names = {"", "a", "|", "a|", "1:a", "=a|"};
+  const std::vector<double> reals = {
+      0.0, -0.0, 1.0, std::nextafter(1.0, 2.0), 0.1,
+      std::nextafter(0.1, 0.0), 1e300, 5e-324};
+  std::mt19937_64 rng(20211);
+  const auto pick = [&](const auto& pool) {
+    return pool[rng() % pool.size()];
+  };
+  // Each field redrawn with probability 1/8, so a copy stays equal often.
+  const auto redraw = [&](svc::JobSpec s) {
+    const auto maybe = [&](auto& field, auto value) {
+      if (rng() % 8 == 0) field = value;
+    };
+    fault::FaultSpec& f = s.fault;
+    maybe(s.machine, pick(names));
+    maybe(s.algo, pick(names));
+    maybe(s.placement, pick(names));
+    maybe(s.threads, static_cast<int>(rng() % 3));
+    maybe(s.iterations, pick(std::vector<int>{5, 6, 20}));
+    maybe(s.warmup, pick(std::vector<int>{-1, 0, 4, 5}));
+    maybe(f.link.min_layer, static_cast<int>(rng() % 2));
+    maybe(f.seed, static_cast<std::uint64_t>(rng() % 2));
+    for (double* d : {&f.noise.period_us, &f.noise.duration_us,
+                      &f.burst.interval_us, &f.burst.duration_us,
+                      &f.straggler.fraction, &f.straggler.slowdown,
+                      &f.straggler.dwell_us, &f.link.factor,
+                      &f.link.flap_interval_us, &f.link.flap_duration_us})
+      maybe(*d, pick(reals));
+    return s;
+  };
+  int equal = 0, distinct = 0;
+  for (int i = 0; i < 20000; ++i) {
+    const svc::JobSpec a = redraw(redraw(svc::JobSpec{}));
+    const svc::JobSpec b = redraw(a);
+    const bool same = same_spec(a, b);
+    ASSERT_EQ(svc::cache_key(a) == svc::cache_key(b), same)
+        << svc::cache_key(a) << "\n" << svc::cache_key(b);
+    ++(same ? equal : distinct);
+  }
+  EXPECT_GT(equal, 1000);
+  EXPECT_GT(distinct, 1000);
+}
+
+TEST(CacheKey, NamesCannotBorrowSeparators) {
+  svc::JobSpec a, b;
+  a.machine = "x|a=y";
+  a.algo = "z";
+  b.machine = "x";
+  b.algo = "y|a=z";
+  EXPECT_NE(svc::cache_key(a), svc::cache_key(b));
 }
 
 // -- ResultCache ------------------------------------------------------------
@@ -475,6 +555,40 @@ TEST(ServiceStatsCheck, AccountingMatchesStream) {
   EXPECT_EQ(stats.failed, 4u);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses + /*parse errors=*/1,
             stats.jobs);
+}
+
+TEST(ServiceIdentity, WarmServiceAnswersMixedStream) {
+  const auto cell = [](const char* algo, int threads) {
+    return std::string("{\"machine\": \"kunpeng920\", \"algo\": \"") + algo +
+           "\", \"threads\": " + std::to_string(threads) +
+           ", \"iterations\": 4}\n";
+  };
+  const std::string primer = cell("dis", 8) + cell("sense", 8);
+  // Hits, fresh misses (one repeated), a parse error, an oversized line
+  // past the one-shot bound, comments and an unknown machine.
+  const std::string jobs =
+      "# warm stream\n" + cell("dis", 8) + cell("mcs", 8) + cell("sense", 8) +
+      "garbage\n" + cell("cmb", 4) + cell("mcs", 8) + "\n" +
+      "{\"pad\": \"" + std::string(70 * 1024, 'x') + "\"}\n" +
+      cell("dis", 8) + "{\"machine\": \"atari2600\"}\n";
+  const std::string reference = oneshot_output(jobs, 1);
+  for (const int workers : {1, 2, 4}) {
+    svc::ServiceOptions opts;
+    opts.workers = workers;
+    svc::SweepService service(opts);
+    std::istringstream prime_in(primer);
+    std::ostringstream prime_out;
+    service.serve(prime_in, prime_out);
+    std::istringstream in(jobs);
+    std::ostringstream out;
+    const auto stats = service.serve(in, out);
+    EXPECT_EQ(out.str(), reference) << "workers=" << workers;
+    EXPECT_EQ(stats.jobs, 9u);
+    EXPECT_GE(stats.cache_hits, 3u) << "primed cells must hit";
+    EXPECT_EQ(stats.cache_hits + stats.cache_misses + /*parse errors=*/2,
+              stats.jobs)
+        << "workers=" << workers;
+  }
 }
 
 // -- prompt emission ---------------------------------------------------------
