@@ -4,6 +4,11 @@
 // checksum to BENCH_sim.json.  Run after any engine/memory change; the
 // checksum must never move, the throughput must not regress.
 //
+// Every run times the sweep twice: plain (events_per_sec) and with a
+// capacity-0 tracer per job (traced_events_per_sec) — the Traced access
+// paths and phase counters every cold service job and every
+// run_with_metrics sweep runs on.  Both must reproduce the same checksum.
+//
 // Timing is serial by default (workers=1) so numbers are comparable
 // across revisions and to the embedded seed baseline; --workers N times
 // the same sweep fanned over the SweepDriver pool instead (aggregate
@@ -18,12 +23,13 @@
 //                     already holds a run history, it is carried over and
 //                     this run appended — the file accumulates the
 //                     throughput trajectory across revisions.
-//   --breakdown       additionally time the four policy configurations
-//                     (plain / traced / faulted / traced+faulted) and a
-//                     synthetic engine-only event loop, so a regression is
-//                     attributable to the heap, the directory, or a hook
-//                     at a glance.  Also asserts the four configurations
-//                     are bit-identical (inert hooks change speed only).
+//   --breakdown       additionally time the faulted and traced+faulted
+//                     policy configurations and a synthetic engine-only
+//                     event loop, and print all four configurations side
+//                     by side, so a regression is attributable to the
+//                     heap, the directory, or a hook at a glance.  Also
+//                     asserts the four configurations are bit-identical
+//                     (inert hooks change speed only).
 //   --hier            additionally time a 1024-core hierarchical sweep
 //                     (topo::hier1024 x {amo, central2, hybrid, opt} x
 //                     {256, 1024} threads) — the many-core regime runs
@@ -96,19 +102,21 @@ std::vector<std::string> read_history(const std::string& path) {
 }
 
 std::string history_entry(double wall_min, double wall_median,
-                          double events_per_sec, double checksum_ns,
-                          int reps, int workers, double speedup,
-                          bool hier, double hier_events_per_sec,
+                          double events_per_sec, double traced_events_per_sec,
+                          double checksum_ns, int reps, int workers,
+                          double speedup, bool hier,
+                          double hier_events_per_sec,
                           double hier_checksum_ns) {
   std::ostringstream os;
-  char buf[256];
+  char buf[320];
   std::snprintf(buf, sizeof buf,
                 "{\"utc\": \"%s\", \"reps\": %d, \"workers\": %d, "
                 "\"wall_s_min\": %.6f, \"wall_s_median\": %.6f, "
-                "\"events_per_sec\": %.1f, \"checksum_ns\": %.6f, "
+                "\"events_per_sec\": %.1f, "
+                "\"traced_events_per_sec\": %.1f, \"checksum_ns\": %.6f, "
                 "\"speedup_vs_seed\": %.3f",
                 utc_now().c_str(), reps, workers, wall_min, wall_median,
-                events_per_sec, checksum_ns, speedup);
+                events_per_sec, traced_events_per_sec, checksum_ns, speedup);
   os << buf;
   if (hier) {
     std::snprintf(buf, sizeof buf,
@@ -261,19 +269,40 @@ int main(int argc, char** argv) {
       wall_min, wall_median, events_per_sec / 1e6, plain.checksum_ns,
       speedup, kSeedWallSecPerRep);
 
+  // -- the traced sweep (what every cold service job runs) -----------------
+  // One tracer per job (jobs run concurrently; a tracer is not
+  // synchronized).  Capacity 0: exact counters, no event log — the
+  // overhead measured is the phase counting itself.
+  std::deque<sim::Tracer> tracers;
+  std::vector<simbar::SweepJob> traced_jobs = jobs;
+  for (auto& j : traced_jobs) {
+    tracers.emplace_back(0);
+    j.tracer = &tracers.back();
+  }
+  const TimedSweep traced =
+      time_sweep(driver, traced_jobs, reps, /*verbose=*/false);
+  if (!traced.deterministic) return 1;
+  if (traced.checksum_ns != plain.checksum_ns ||
+      traced.events_per_rep != plain.events_per_rep) {
+    std::fprintf(stderr,
+                 "perf_sim: TRACED DIVERGENCE (checksum %.6f vs plain %.6f, "
+                 "events %llu vs %llu)\n",
+                 traced.checksum_ns, plain.checksum_ns,
+                 static_cast<unsigned long long>(traced.events_per_rep),
+                 static_cast<unsigned long long>(plain.events_per_rep));
+    return 1;
+  }
+  const double traced_events_per_sec = traced.events_per_sec();
+  std::printf(
+      "perf_sim: traced best %.3f s/rep, %.2f M events/s, %.3fx plain "
+      "wall\n",
+      traced.wall_min(), traced_events_per_sec / 1e6,
+      traced.wall_min() / wall_min);
+
   // -- optional policy/engine breakdown -------------------------------------
   double engine_only = 0.0;
-  TimedSweep traced, faulted, both;
+  TimedSweep faulted, both;
   if (breakdown) {
-    // One tracer per job (jobs run concurrently; a tracer is not
-    // synchronized).  Capacity 0: exact counters, no event log — the
-    // overhead measured is the tracer hot-path hooks themselves.
-    std::deque<sim::Tracer> tracers;
-    std::vector<simbar::SweepJob> traced_jobs = jobs;
-    for (auto& j : traced_jobs) {
-      tracers.emplace_back(0);
-      j.tracer = &tracers.back();
-    }
     // One neutral (active but perturbation-free) plan shared by all jobs:
     // the Faulted instantiations run every fault hook, none of which
     // changes a timestamp.
@@ -289,16 +318,13 @@ int main(int argc, char** argv) {
     for (auto& j : both_jobs) j.cfg.fault = &neutral;
 
     engine_only = engine_only_events_per_sec();
-    traced = time_sweep(driver, traced_jobs, reps, /*verbose=*/false);
     faulted = time_sweep(driver, faulted_jobs, reps, /*verbose=*/false);
     both = time_sweep(driver, both_jobs, reps, /*verbose=*/false);
-    if (!traced.deterministic || !faulted.deterministic ||
-        !both.deterministic)
-      return 1;
+    if (!faulted.deterministic || !both.deterministic) return 1;
 
     // Inert hooks must change nothing but speed: all four policy
     // instantiations produce the same checksum and event count.
-    for (const TimedSweep* t : {&traced, &faulted, &both}) {
+    for (const TimedSweep* t : {&faulted, &both}) {
       if (t->checksum_ns != plain.checksum_ns ||
           t->events_per_rep != plain.events_per_rep) {
         std::fprintf(stderr,
@@ -374,9 +400,9 @@ int main(int argc, char** argv) {
   // -- JSON output, with carried-over run history ---------------------------
   std::vector<std::string> history = read_history(out_path);
   history.push_back(history_entry(wall_min, wall_median, events_per_sec,
-                                  plain.checksum_ns, reps, driver.workers(),
-                                  speedup, hier, hier_events_per_sec,
-                                  hier_checksum_ns));
+                                  traced_events_per_sec, plain.checksum_ns,
+                                  reps, driver.workers(), speedup, hier,
+                                  hier_events_per_sec, hier_checksum_ns));
 
   std::FILE* f = std::fopen(out_path.c_str(), "w");
   if (!f) {
@@ -403,6 +429,8 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"events_per_sec\": %.1f,\n", events_per_sec);
   std::fprintf(f, "  \"events_per_sec_median\": %.1f,\n",
                events_per_sec_median);
+  std::fprintf(f, "  \"traced_events_per_sec\": %.1f,\n",
+               traced_events_per_sec);
   std::fprintf(f, "  \"checksum_ns\": %.6f,\n", plain.checksum_ns);
   std::fprintf(f, "  \"seed_wall_s_per_rep\": %.6f,\n", kSeedWallSecPerRep);
   std::fprintf(f, "  \"speedup_vs_seed\": %.3f,\n", speedup);
@@ -421,7 +449,7 @@ int main(int argc, char** argv) {
     std::fprintf(f, "    \"plain_events_per_sec\": %.1f,\n",
                  plain.events_per_sec());
     std::fprintf(f, "    \"traced_events_per_sec\": %.1f,\n",
-                 traced.events_per_sec());
+                 traced_events_per_sec);
     std::fprintf(f, "    \"faulted_events_per_sec\": %.1f,\n",
                  faulted.events_per_sec());
     std::fprintf(f, "    \"traced_faulted_events_per_sec\": %.1f\n",

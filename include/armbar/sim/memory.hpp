@@ -210,10 +210,13 @@ class MemSystem {
   }
 
   /// Attach an operation tracer (nullptr detaches).  Not owned; must
-  /// outlive the simulation run.  Selects the Traced instantiations of
-  /// the access paths; with no tracer the hot path contains no tracer
-  /// code at all.
-  void set_tracer(Tracer* tracer) noexcept {
+  /// outlive the simulation run.  Sizes the tracer's per-core and
+  /// per-layer counters for this machine, so the Traced instantiations of
+  /// the access paths count inline with no growth checks; with no tracer
+  /// the hot path contains no tracer code at all.
+  void set_tracer(Tracer* tracer) {
+    if (tracer != nullptr)
+      tracer->fit(machine_.num_cores(), machine_.num_layers());
     tracer_ = tracer;
     update_mode();
   }

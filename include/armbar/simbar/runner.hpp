@@ -138,7 +138,11 @@ class SimBarrier {
   /// Open a phase span on @p core against the run's tracer (no-op when
   /// tracing is off).  Hold the returned scope across the operations of
   /// the phase:  `{ auto s = phase(core, obs::Phase::kArrival); ... }`.
-  sim::PhaseScope phase(int core, obs::Phase p, int round = -1) const {
+  /// Forced inline: with the span bookkeeping inlined into PhaseScope,
+  /// GCC otherwise outlines this helper, and every untraced span would
+  /// pay a call that saves six registers before its null-tracer test.
+  [[gnu::always_inline]] sim::PhaseScope phase(int core, obs::Phase p,
+                                                int round = -1) const {
     return sim::PhaseScope(mem_.tracer(), eng_, core, p, round);
   }
 

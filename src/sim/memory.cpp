@@ -179,9 +179,9 @@ Picos MemSystem::read_at(int core, LineId line, Picos issue, bool is_poll) {
     ++stats_.local_reads;
     const Picos finish = start + machine_.epsilon_ps();
     if constexpr (Traced)
-      tracer_->record({start, finish, core, line,
-                       is_poll ? TraceEvent::Kind::kPoll
-                               : TraceEvent::Kind::kRead});
+      tracer_->count({start, finish, core, line,
+                      is_poll ? TraceEvent::Kind::kPoll
+                              : TraceEvent::Kind::kRead});
     return finish;
   }
 
@@ -225,10 +225,10 @@ Picos MemSystem::read_at(int core, LineId line, Picos issue, bool is_poll) {
   if (line_owner_[li] == -1) line_owner_[li] = core;
   ++stats_.remote_reads;
   if constexpr (Traced)
-    tracer_->record({start, finish, core, line,
-                     is_poll ? TraceEvent::Kind::kPoll
-                             : TraceEvent::Kind::kRead,
-                     layer});
+    tracer_->count({start, finish, core, line,
+                    is_poll ? TraceEvent::Kind::kPoll
+                            : TraceEvent::Kind::kRead,
+                    layer});
   return finish;
 }
 
@@ -345,13 +345,12 @@ Picos MemSystem::write_at(int core, LineId line, Picos issue, bool is_rmw) {
   line_busy_[li] = is_rmw ? finish : start + base;
   util::bit_set(sharer, static_cast<std::size_t>(core));
   line_owner_[li] = core;
-  if constexpr (Traced) {
-    tracer_->record({start, finish, core, line,
-                     is_rmw ? TraceEvent::Kind::kRmw
-                            : TraceEvent::Kind::kWrite,
-                     layer});
-    if (invalidated > 0) tracer_->add_rfo(core, invalidated);
-  }
+  if constexpr (Traced)
+    tracer_->count({start, finish, core, line,
+                    is_rmw ? TraceEvent::Kind::kRmw
+                           : TraceEvent::Kind::kWrite,
+                    layer},
+                   invalidated);
   wake_waiters<Traced, Faulted>(line, finish);
   return finish;
 }

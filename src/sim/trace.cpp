@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <sstream>
+#include <utility>
 
 namespace armbar::sim {
 
@@ -20,121 +21,44 @@ Tracer::Tracer(std::size_t capacity) : capacity_(capacity) {
 }
 
 void Tracer::record(TraceEvent ev) {
-  // Attribute to the innermost span open on the event's core.  This runs
-  // in engine execution order, which equals simulated-time resumption
-  // order, so a poll issued on behalf of a parked waiter lands in the
-  // phase the waiter was in when it parked.
-  if (ev.core >= 0 && static_cast<std::size_t>(ev.core) < open_.size()) {
-    const auto& stack = open_[static_cast<std::size_t>(ev.core)];
-    if (!stack.empty()) {
-      ev.phase = stack.back().phase;
-      ev.round = stack.back().round;
-    }
-  }
-
-  // Counters first: they must stay exact even when the event log is full.
-  PhaseCounters& c = counters_[static_cast<std::size_t>(ev.phase)];
-  switch (ev.kind) {
-    case TraceEvent::Kind::kRead: ++c.reads; break;
-    case TraceEvent::Kind::kWrite: ++c.writes; break;
-    case TraceEvent::Kind::kRmw: ++c.rmws; break;
-    case TraceEvent::Kind::kPoll: ++c.polls; break;
-  }
-  c.busy_ps += ev.finish - ev.start;
-  if (ev.layer >= 0) {
-    const auto layer = static_cast<std::size_t>(ev.layer);
-    if (c.layer_transfers.size() <= layer) c.layer_transfers.resize(layer + 1);
-    ++c.layer_transfers[layer];
-  } else {
-    ++c.local_ops;
-  }
-
+  fit(ev.core + 1, ev.layer + 1);
   if (ev.core >= 0) {
-    if (static_cast<std::size_t>(ev.core) >= last_op_.size())
-      last_op_.resize(static_cast<std::size_t>(ev.core) + 1);
-    last_op_[static_cast<std::size_t>(ev.core)] = LastOp{ev.line, ev.finish};
-  }
-
-  if (events_.size() >= capacity_) {
-    ++dropped_;
+    count(ev);
     return;
   }
-  events_.push_back(ev);
+  ev.phase = obs::Phase::kNone;
+  ev.round = -1;
+  tally(ev, 0);
 }
 
-void Tracer::add_rfo(int core, std::uint64_t n) {
-  counters_[static_cast<std::size_t>(current_phase(core))].rfo_invalidations +=
-      n;
-}
-
-void Tracer::begin_phase(int core, obs::Phase phase, int round,
-                         util::Picos now) {
-  if (core < 0) return;
-  if (static_cast<std::size_t>(core) >= open_.size()) {
-    open_.resize(static_cast<std::size_t>(core) + 1);
-    span_seq_.resize(static_cast<std::size_t>(core) + 1,
-                     std::array<std::uint32_t, obs::kNumPhases>{});
+void Tracer::fit(int num_cores, int num_layers) {
+  if (num_cores > 0 && static_cast<std::size_t>(num_cores) > cores_.size())
+    cores_.resize(static_cast<std::size_t>(num_cores));
+  if (num_layers > 0) {
+    const auto layers = static_cast<std::size_t>(num_layers);
+    for (PhaseCounters& c : counters_)
+      if (c.layer_transfers.size() < layers) c.layer_transfers.resize(layers);
   }
-  open_[static_cast<std::size_t>(core)].push_back(
-      OpenSpan{now, phase, static_cast<std::int16_t>(round)});
 }
 
-void Tracer::end_phase(int core, util::Picos now) {
-  if (core < 0 || static_cast<std::size_t>(core) >= open_.size()) return;
-  auto& stack = open_[static_cast<std::size_t>(core)];
-  if (stack.empty()) return;
-  const OpenSpan top = stack.back();
-  stack.pop_back();
-  if (stack.empty()) {
-    // Outermost-span accounting (before any capacity check, like the
-    // other counters): total span time plus the per-episode critical
-    // path — the k-th outermost span of a phase on a core is that core's
-    // k-th episode, so the max over cores per k is the phase's serial
-    // floor for that episode.
-    PhaseCounters& c = counters_[static_cast<std::size_t>(top.phase)];
-    const util::Picos dur = now - top.start;
-    c.span_ps += dur;
-    auto& seq = span_seq_[static_cast<std::size_t>(core)]
-                         [static_cast<std::size_t>(top.phase)];
-    const std::uint32_t k = seq++;
-    if (c.episode_max_span_ps.size() <= k)
-      c.episode_max_span_ps.resize(k + 1, 0);
-    c.episode_max_span_ps[k] = std::max(c.episode_max_span_ps[k], dur);
-  }
-  if (spans_.size() >= capacity_) {
-    ++dropped_spans_;
-    return;
-  }
-  spans_.push_back(PhaseSpan{top.start, now, core, top.phase, top.round,
-                             static_cast<std::int16_t>(stack.size())});
-}
+void Tracer::log_event(const TraceEvent& ev) { events_.push_back(ev); }
 
-obs::Phase Tracer::current_phase(int core) const noexcept {
-  if (core < 0 || static_cast<std::size_t>(core) >= open_.size())
-    return obs::Phase::kNone;
-  const auto& stack = open_[static_cast<std::size_t>(core)];
-  return stack.empty() ? obs::Phase::kNone : stack.back().phase;
-}
+void Tracer::log_span(const PhaseSpan& span) { spans_.push_back(span); }
 
-int Tracer::current_round(int core) const noexcept {
-  if (core < 0 || static_cast<std::size_t>(core) >= open_.size()) return -1;
-  const auto& stack = open_[static_cast<std::size_t>(core)];
-  return stack.empty() ? -1 : stack.back().round;
-}
-
-Tracer::LastOp Tracer::last_op(int core) const noexcept {
-  if (core < 0 || static_cast<std::size_t>(core) >= last_op_.size())
-    return LastOp{};
-  return last_op_[static_cast<std::size_t>(core)];
+void Tracer::add_episode(PhaseCounters& c, std::uint32_t k) {
+  c.episode_max_span_ps.resize(std::size_t{k} + 1, 0);
 }
 
 void Tracer::clear() {
   events_.clear();
   spans_.clear();
-  open_.clear();
-  span_seq_.clear();
-  last_op_.clear();
-  for (PhaseCounters& c : counters_) c = PhaseCounters{};
+  for (CoreState& s : cores_) s = CoreState{};
+  for (PhaseCounters& c : counters_) {
+    std::vector<std::uint64_t> layers = std::move(c.layer_transfers);
+    std::fill(layers.begin(), layers.end(), std::uint64_t{0});
+    c = PhaseCounters{};
+    c.layer_transfers = std::move(layers);
+  }
   dropped_ = 0;
   dropped_spans_ = 0;
 }

@@ -69,8 +69,9 @@ void rethrow_first(std::vector<std::exception_ptr>& errors) {
 /// simulation state — results stay bit-identical however long we waited.
 void retry_pause(std::size_t job_index, int failed_attempt) {
   util::Xoshiro256 rng(0x9e3779b97f4a7c15ull ^
-                       (static_cast<std::uint64_t>(job_index) * 0x100000001b3ull
-                        + static_cast<std::uint64_t>(failed_attempt)));
+                       (static_cast<std::uint64_t>(job_index) *
+                            std::uint64_t{0x100000001b3} +
+                        static_cast<std::uint64_t>(failed_attempt)));
   const double ms = util::backoff_full_jitter_ms(
       failed_attempt, kRetryBaseMs, kRetryCapMs, rng.uniform01());
   if (ms > 0.0)

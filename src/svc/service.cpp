@@ -193,7 +193,7 @@ std::shared_ptr<CachedResult> compute_cell(const JobSpec& spec,
 /// driver's retry_pause so the schedule is reproducible.
 void retry_pause(std::uint64_t seq, int failed_attempt) {
   util::Xoshiro256 rng(0x9e3779b97f4a7c15ull ^
-                       (seq * 0x100000001b3ull +
+                       (seq * std::uint64_t{0x100000001b3} +
                         static_cast<std::uint64_t>(failed_attempt)));
   const double ms = util::backoff_full_jitter_ms(
       failed_attempt, kRetryBaseMs, kRetryCapMs, rng.uniform01());

@@ -2,12 +2,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
+#include "armbar/barriers/factory.hpp"
+#include "armbar/fault/plan.hpp"
+#include "armbar/obs/metrics.hpp"
 #include "armbar/obs/perfetto.hpp"
 #include "armbar/sim/engine.hpp"
+#include "armbar/sim/error.hpp"
 #include "armbar/sim/memory.hpp"
 #include "armbar/sim/trace.hpp"
 #include "armbar/simbar/runner.hpp"
 #include "armbar/simbar/sim_barriers.hpp"
+#include "armbar/topo/hier.hpp"
 #include "armbar/topo/platforms.hpp"
 
 namespace armbar::sim {
@@ -259,6 +268,203 @@ TEST(Trace, MeasureBarrierProducesPhaseSpans) {
   // all its operations.
   for (const auto& ev : tracer.events())
     EXPECT_NE(ev.phase, obs::Phase::kNone);
+}
+
+// -- counting without the log ------------------------------------------------
+
+/// Expect @p a and @p b to agree on everything a Tracer counts (as opposed
+/// to logs).
+void expect_same_counters(const Tracer& a, const Tracer& b, int num_cores) {
+  for (int p = 0; p < obs::kNumPhases; ++p) {
+    SCOPED_TRACE(obs::to_string(static_cast<obs::Phase>(p)));
+    const auto& x = a.phase_counters(static_cast<obs::Phase>(p));
+    const auto& y = b.phase_counters(static_cast<obs::Phase>(p));
+    EXPECT_EQ(x.reads, y.reads);
+    EXPECT_EQ(x.writes, y.writes);
+    EXPECT_EQ(x.rmws, y.rmws);
+    EXPECT_EQ(x.polls, y.polls);
+    EXPECT_EQ(x.local_ops, y.local_ops);
+    EXPECT_EQ(x.rfo_invalidations, y.rfo_invalidations);
+    EXPECT_EQ(x.busy_ps, y.busy_ps);
+    EXPECT_EQ(x.span_ps, y.span_ps);
+    EXPECT_EQ(x.episode_max_span_ps, y.episode_max_span_ps);
+    EXPECT_EQ(x.layer_transfers, y.layer_transfers);
+  }
+  for (int c = 0; c < num_cores; ++c) {
+    EXPECT_EQ(a.current_phase(c), b.current_phase(c)) << "core " << c;
+    EXPECT_EQ(a.current_round(c), b.current_round(c)) << "core " << c;
+    EXPECT_EQ(a.last_op(c).line, b.last_op(c).line) << "core " << c;
+    EXPECT_EQ(a.last_op(c).finish_ps, b.last_op(c).finish_ps) << "core " << c;
+  }
+}
+
+/// Recompute every per-phase counter that a full log determines from the
+/// log alone.  When the run finished (every span closed and logged), also
+/// check each event sits inside a logged span of its phase and round on
+/// its own core.
+void expect_counters_are_log_sums(const Tracer& t, int num_layers,
+                                  bool finished) {
+  ASSERT_EQ(t.dropped(), 0u);
+  ASSERT_EQ(t.dropped_spans(), 0u);
+  Tracer::PhaseCounters sum[obs::kNumPhases];
+  for (auto& c : sum)
+    c.layer_transfers.assign(static_cast<std::size_t>(num_layers), 0);
+  for (const TraceEvent& ev : t.events()) {
+    Tracer::PhaseCounters& c = sum[static_cast<std::size_t>(ev.phase)];
+    switch (ev.kind) {
+      case TraceEvent::Kind::kRead: ++c.reads; break;
+      case TraceEvent::Kind::kWrite: ++c.writes; break;
+      case TraceEvent::Kind::kRmw: ++c.rmws; break;
+      case TraceEvent::Kind::kPoll: ++c.polls; break;
+    }
+    c.busy_ps += ev.finish - ev.start;
+    if (ev.layer >= 0)
+      ++c.layer_transfers.at(static_cast<std::size_t>(ev.layer));
+    else
+      ++c.local_ops;
+  }
+  // Outermost spans close in log order, so a core's k-th depth-0 span of
+  // a phase is its k-th episode of that phase.
+  std::vector<std::vector<std::uint32_t>> episode(
+      static_cast<std::size_t>(obs::kNumPhases));
+  for (const Tracer::PhaseSpan& sp : t.spans()) {
+    if (sp.depth != 0) continue;
+    Tracer::PhaseCounters& c = sum[static_cast<std::size_t>(sp.phase)];
+    auto& seq = episode[static_cast<std::size_t>(sp.phase)];
+    if (seq.size() <= static_cast<std::size_t>(sp.core))
+      seq.resize(static_cast<std::size_t>(sp.core) + 1, 0);
+    const std::uint32_t k = seq[static_cast<std::size_t>(sp.core)]++;
+    if (c.episode_max_span_ps.size() <= k)
+      c.episode_max_span_ps.resize(k + 1, 0);
+    c.span_ps += sp.finish - sp.start;
+    c.episode_max_span_ps[k] =
+        std::max(c.episode_max_span_ps[k], sp.finish - sp.start);
+  }
+  for (int p = 0; p < obs::kNumPhases; ++p) {
+    SCOPED_TRACE(obs::to_string(static_cast<obs::Phase>(p)));
+    const auto& want = sum[p];
+    const auto& got = t.phase_counters(static_cast<obs::Phase>(p));
+    EXPECT_EQ(got.reads, want.reads);
+    EXPECT_EQ(got.writes, want.writes);
+    EXPECT_EQ(got.rmws, want.rmws);
+    EXPECT_EQ(got.polls, want.polls);
+    EXPECT_EQ(got.local_ops, want.local_ops);
+    EXPECT_EQ(got.busy_ps, want.busy_ps);
+    EXPECT_EQ(got.layer_transfers, want.layer_transfers);
+    EXPECT_EQ(got.span_ps, want.span_ps);
+    EXPECT_EQ(got.episode_max_span_ps, want.episode_max_span_ps);
+  }
+
+  if (!finished) return;
+  // An operation is issued inside its span and, except for a store
+  // (which retires from the store buffer before its transaction ends),
+  // completes before the span can close; a parked waiter's re-poll runs
+  // while the waiter's span is still open.
+  std::size_t misplaced = 0;
+  for (const TraceEvent& ev : t.events()) {
+    if (ev.phase == obs::Phase::kNone) continue;
+    const bool inside = std::any_of(
+        t.spans().begin(), t.spans().end(), [&](const Tracer::PhaseSpan& sp) {
+          return sp.core == ev.core && sp.phase == ev.phase &&
+                 sp.round == ev.round && sp.start <= ev.start &&
+                 (ev.kind == TraceEvent::Kind::kWrite ||
+                  ev.finish <= sp.finish);
+        });
+    if (!inside && ++misplaced <= 3)
+      ADD_FAILURE() << to_string(ev.kind) << " by core " << ev.core
+                    << " at [" << ev.start << ", " << ev.finish
+                    << "] is attributed to " << obs::to_string(ev.phase)
+                    << " round " << ev.round
+                    << ", but no such span of that core covers it";
+  }
+  EXPECT_EQ(misplaced, 0u);
+}
+
+/// The MetricsReport JSON of a run, with the log-size fields (the only
+/// ones that may differ between a capacity-0 and a full-log tracer)
+/// folded into their totals.
+std::string metrics_json(const topo::Machine& m,
+                         const simbar::SimRunConfig& cfg,
+                         const simbar::SimResult& r, const Tracer& t) {
+  obs::MetricsReport report = obs::make_metrics(m, cfg, r, t);
+  report.trace_events += report.dropped_events;
+  report.trace_spans += report.dropped_spans;
+  report.dropped_events = report.dropped_spans = 0;
+  return obs::to_json(report);
+}
+
+// Every simulated algorithm on the three paper machines and hier256, plain
+// and under a neutral fault plan: a capacity-0 tracer counts exactly what
+// a full-log tracer counts, and each phase's counters are the sums over
+// that full log's events and spans of that phase.  A run cut short by its
+// event budget leaves spans open, so it also pins current_phase /
+// current_round / last_op mid-run and the abort diagnostics built from
+// them (the same code a deadline record runs).
+TEST(Trace, CountersEqualFullLogOnEveryAlgorithmAndMachine) {
+  std::vector<topo::Machine> machines = topo::armv8_machines();
+  machines.push_back(topo::hier256());
+  for (const topo::Machine& m : machines) {
+    const fault::Plan neutral =
+        fault::Plan::neutral(m.num_cores(), m.num_layers());
+    for (const Algo algo : all_algos()) {
+      if (algo == Algo::kStdBarrier || algo == Algo::kPthread) continue;
+      for (const fault::Plan* plan : {static_cast<const fault::Plan*>(nullptr),
+                                      &neutral}) {
+        SCOPED_TRACE(m.name() + " " + to_string(algo) +
+                     (plan ? " neutral-plan" : " plain"));
+        simbar::SimRunConfig cfg;
+        cfg.threads = std::min(m.num_cores() > 64 ? 72 : 24, m.num_cores());
+        cfg.iterations = 4;
+        cfg.warmup = 1;
+        cfg.fault = plan;
+        const auto factory =
+            simbar::sim_factory(algo, {.cluster_size = m.cluster_size()});
+
+        Tracer lean(0);
+        Tracer full(Tracer::kDefaultCapacity);
+        const simbar::SimResult a =
+            simbar::measure_barrier(m, factory, cfg, &lean);
+        const simbar::SimResult b =
+            simbar::measure_barrier(m, factory, cfg, &full);
+        ASSERT_EQ(a.mean_overhead_ns, b.mean_overhead_ns);
+        EXPECT_TRUE(lean.events().empty());
+        EXPECT_EQ(lean.dropped(), full.events().size());
+        expect_same_counters(lean, full, m.num_cores());
+        EXPECT_EQ(metrics_json(m, cfg, a, lean),
+                  metrics_json(m, cfg, b, full));
+        expect_counters_are_log_sums(full, m.num_layers(), true);
+
+        // Stop half-way: spans stay open on the stuck cores.
+        simbar::SimRunConfig cut = cfg;
+        cut.max_events = std::max<std::uint64_t>(a.events_processed / 2, 1);
+        const auto abort = [&](Tracer& t) {
+          try {
+            (void)simbar::measure_barrier(m, factory, cut, &t);
+          } catch (const DeadlockError& e) {
+            return e.cores();
+          }
+          ADD_FAILURE() << "the event budget did not stop the run";
+          return std::vector<CoreDiagnostic>{};
+        };
+        Tracer lean_cut(0);
+        Tracer full_cut(Tracer::kDefaultCapacity);
+        const std::vector<CoreDiagnostic> da = abort(lean_cut);
+        const std::vector<CoreDiagnostic> db = abort(full_cut);
+        expect_same_counters(lean_cut, full_cut, m.num_cores());
+        expect_counters_are_log_sums(full_cut, m.num_layers(), false);
+        ASSERT_EQ(da.size(), db.size());
+        EXPECT_TRUE(std::any_of(db.begin(), db.end(), [](const auto& d) {
+          return d.phase != obs::Phase::kNone;
+        })) << "no core was stopped inside a span";
+        for (std::size_t i = 0; i < da.size(); ++i) {
+          EXPECT_EQ(da[i].phase, db[i].phase);
+          EXPECT_EQ(da[i].round, db[i].round);
+          EXPECT_EQ(da[i].last_line, db[i].last_line);
+          EXPECT_EQ(da[i].last_op_ps, db[i].last_op_ps);
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
