@@ -109,6 +109,13 @@ struct SweepSummary {
 /// per job instead of every report.
 void accumulate(SweepSummary& summary, const MetricsReport& report);
 
+/// The row accumulate() appends for @p report.
+SweepSummary::Row summary_row(const MetricsReport& report);
+
+/// Everything accumulate() does but the row: fold @p report into its
+/// machine's totals and the trace-drop counters of @p summary.
+void accumulate_totals(SweepSummary& summary, const MetricsReport& report);
+
 SweepSummary aggregate(const std::vector<MetricsReport>& reports);
 
 /// Convenience: aggregate straight from SweepDriver::run_with_metrics.
@@ -116,8 +123,24 @@ SweepSummary aggregate(const std::vector<simbar::MeteredRun>& runs);
 
 /// Serialize to pretty-printed JSON (schema: docs/TRACING.md §7).
 /// Locale-independent and strictly valid JSON (non-finite doubles are
-/// emitted as null).
+/// emitted as null).  The text is json_frame's head, then each row by
+/// append_row_json with ',' between rows, then the frame's tail: a
+/// caller that keeps rendered rows (the sweep service) writes the same
+/// bytes from the same two functions.
 std::string to_json(const SweepSummary& summary);
+
+/// Append one element of to_json's "rows" array, without the ',' that
+/// separates it from the element before.
+void append_row_json(std::string& out, const SweepSummary::Row& row);
+
+/// to_json's text around the row elements: `head` ends by opening the
+/// "rows" array and `tail` starts by closing it.  @p runs is the row
+/// count; summary.rows is not read.
+struct JsonFrame {
+  std::string head;
+  std::string tail;
+};
+JsonFrame json_frame(const SweepSummary& summary, std::size_t runs);
 
 /// Render as aligned text tables: one cross-algorithm row table plus one
 /// per-machine layer-transfer table.

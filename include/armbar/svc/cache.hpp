@@ -2,12 +2,13 @@
 // Sharded result cache for the sweep service.
 //
 // Keyed on svc::cache_key(JobSpec) — every input that determines a
-// simulation's output — and storing the *rendered* result-line tail plus
-// the metrics report the sweep summary needs, so a repeated cell costs
-// one hash lookup instead of a simulation.  Because the simulator is a
-// pure function of the key, a cached entry is byte-for-byte what a fresh
-// run would have produced; the service's daemon-vs-one-shot byte-identity
-// guarantee rests on exactly this property (docs/SERVICE.md §4).
+// simulation's output — and storing the *rendered* result-line tail and
+// sweep-summary row plus the metrics report the summary's machine totals
+// need, so a repeated cell costs one hash lookup instead of a simulation.
+// Because the simulator is a pure function of the key, a cached entry is
+// byte-for-byte what a fresh run would have produced; the service's
+// daemon-vs-one-shot byte-identity guarantee rests on exactly this
+// property (docs/SERVICE.md §4).
 //
 // Sharded by key hash with one mutex per shard: workers of different
 // cells contend on different shards, and a hit copies nothing (entries
@@ -27,19 +28,22 @@ namespace armbar::svc {
 
 /// One finished job, rendered.  `tail` is the result line *without* the
 /// leading job index (the index differs per occurrence; the emitter
-/// splices it in), `failed` marks an error entry, and `report` feeds the
-/// sweep-summary roll-up for successful runs.  `transient` marks a
-/// failure that depends on the host rather than the inputs (wall-clock
-/// deadline, allocation pressure): the service retries those within its
-/// attempt budget and never caches them — only deterministic entries may
-/// enter the cache, or the byte-identity guarantee would break.
-/// `deadline` narrows transient to the wall-clock-deadline kind (for the
-/// service's deadline_errors counter).
+/// splices it in), `failed` marks an error entry, `row` is a successful
+/// run's element of the sweep summary's "rows" array
+/// (obs::append_row_json), and `report` feeds the summary's machine
+/// totals.  `transient` marks a failure that depends on the host rather
+/// than the inputs (wall-clock deadline, allocation pressure): the
+/// service retries those within its attempt budget and never caches
+/// them — only deterministic entries may enter the cache, or the
+/// byte-identity guarantee would break.  `deadline` narrows transient to
+/// the wall-clock-deadline kind (for the service's deadline_errors
+/// counter).
 struct CachedResult {
   bool failed = false;
   bool transient = false;
   bool deadline = false;
   std::string tail;
+  std::string row;
   obs::MetricsReport report;
 };
 

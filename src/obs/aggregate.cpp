@@ -115,7 +115,7 @@ std::string explain(const MetricsReport& report, double threshold) {
   return out;
 }
 
-void accumulate(SweepSummary& summary, const MetricsReport& r) {
+SweepSummary::Row summary_row(const MetricsReport& r) {
   SweepSummary::Row row;
   row.machine = r.machine_name;
   row.barrier = r.barrier_name;
@@ -138,7 +138,10 @@ void accumulate(SweepSummary& summary, const MetricsReport& r) {
           ? 0.0
           : 1000.0 * static_cast<double>(row.rfo_invalidations) /
                 static_cast<double>(row.total_ops);
+  return row;
+}
 
+void accumulate_totals(SweepSummary& summary, const MetricsReport& r) {
   // Machine totals, first-occurrence order.
   auto mt = std::find_if(
       summary.machines.begin(), summary.machines.end(),
@@ -161,13 +164,17 @@ void accumulate(SweepSummary& summary, const MetricsReport& r) {
     for (std::size_t l = 0; l < from.size() && l < into.size(); ++l)
       into[l] += from[l];
   }
-  mt->total_ops += row.total_ops;
-  mt->rfo_invalidations += row.rfo_invalidations;
+  mt->total_ops += report_total_ops(r);
+  mt->rfo_invalidations += r.totals.invalidations;
   ++mt->runs;
 
   summary.dropped_events += r.dropped_events;
   summary.dropped_spans += r.dropped_spans;
-  summary.rows.push_back(std::move(row));
+}
+
+void accumulate(SweepSummary& summary, const MetricsReport& r) {
+  summary.rows.push_back(summary_row(r));
+  accumulate_totals(summary, r);
 }
 
 SweepSummary aggregate(const std::vector<MetricsReport>& reports) {
@@ -184,73 +191,110 @@ SweepSummary aggregate(const std::vector<simbar::MeteredRun>& runs) {
   return aggregate(reports);
 }
 
-std::string to_json(const SweepSummary& s) {
-  using detail::escaped;
-  using detail::json_num;
-  std::ostringstream os = detail::json_stream();
-  os << "{\n";
-  os << "  \"runs\": " << s.rows.size() << ",\n";
-  os << "  \"rows\": [";
-  for (std::size_t i = 0; i < s.rows.size(); ++i) {
-    const SweepSummary::Row& r = s.rows[i];
-    if (i > 0) os << ',';
-    os << "\n    {\n";
-    os << "      \"machine\": \"" << escaped(r.machine) << "\",\n";
-    os << "      \"barrier\": \"" << escaped(r.barrier) << "\",\n";
-    os << "      \"threads\": " << r.threads << ",\n";
-    os << "      \"iterations\": " << r.iterations << ",\n";
-    os << "      \"mean_overhead_ns\": " << json_num(r.mean_overhead_ns)
-       << ",\n";
-    os << "      \"bound\": \"" << to_string(r.bound) << "\",\n";
-    os << "      \"span_shares\": {\"arrival\": " << json_num(r.shares.arrival)
-       << ", \"notification\": " << json_num(r.shares.notification)
-       << ", \"other\": " << json_num(r.shares.other) << "},\n";
-    os << "      \"total_ops\": " << r.total_ops << ",\n";
-    os << "      \"remote_transfers\": " << r.remote_transfers << ",\n";
-    os << "      \"rfo_invalidations\": " << r.rfo_invalidations << ",\n";
-    os << "      \"rfo_per_kop\": " << json_num(r.rfo_per_kop) << ",\n";
-    os << "      \"layer_transfers\": [";
-    for (std::size_t l = 0; l < r.layer_transfers.size(); ++l) {
-      if (l > 0) os << ',';
-      os << r.layer_transfers[l];
-    }
-    os << "]\n    }";
+void append_row_json(std::string& out, const SweepSummary::Row& r) {
+  using detail::append_escaped;
+  using detail::append_int;
+  using detail::append_num;
+  out += "\n    {\n      \"machine\": \"";
+  append_escaped(out, r.machine);
+  out += "\",\n      \"barrier\": \"";
+  append_escaped(out, r.barrier);
+  out += "\",\n      \"threads\": ";
+  append_int(out, r.threads);
+  out += ",\n      \"iterations\": ";
+  append_int(out, r.iterations);
+  out += ",\n      \"mean_overhead_ns\": ";
+  append_num(out, r.mean_overhead_ns);
+  out += ",\n      \"bound\": \"";
+  out += to_string(r.bound);
+  out += "\",\n      \"span_shares\": {\"arrival\": ";
+  append_num(out, r.shares.arrival);
+  out += ", \"notification\": ";
+  append_num(out, r.shares.notification);
+  out += ", \"other\": ";
+  append_num(out, r.shares.other);
+  out += "},\n      \"total_ops\": ";
+  append_int(out, r.total_ops);
+  out += ",\n      \"remote_transfers\": ";
+  append_int(out, r.remote_transfers);
+  out += ",\n      \"rfo_invalidations\": ";
+  append_int(out, r.rfo_invalidations);
+  out += ",\n      \"rfo_per_kop\": ";
+  append_num(out, r.rfo_per_kop);
+  out += ",\n      \"layer_transfers\": [";
+  for (std::size_t l = 0; l < r.layer_transfers.size(); ++l) {
+    if (l > 0) out += ',';
+    append_int(out, r.layer_transfers[l]);
   }
-  os << "\n  ],\n";
-  os << "  \"machines\": [";
+  out += "]\n    }";
+}
+
+JsonFrame json_frame(const SweepSummary& s, std::size_t runs) {
+  using detail::append_escaped;
+  using detail::append_int;
+  JsonFrame f;
+  f.head = "{\n  \"runs\": ";
+  append_int(f.head, runs);
+  f.head += ",\n  \"rows\": [";
+
+  std::string& out = f.tail;
+  out = "\n  ],\n  \"machines\": [";
   for (std::size_t i = 0; i < s.machines.size(); ++i) {
     const SweepSummary::MachineTotals& m = s.machines[i];
-    if (i > 0) os << ',';
-    os << "\n    {\n";
-    os << "      \"machine\": \"" << escaped(m.machine) << "\",\n";
-    os << "      \"runs\": " << m.runs << ",\n";
-    os << "      \"layers\": [";
+    if (i > 0) out += ',';
+    out += "\n    {\n      \"machine\": \"";
+    append_escaped(out, m.machine);
+    out += "\",\n      \"runs\": ";
+    append_int(out, m.runs);
+    out += ",\n      \"layers\": [";
     for (std::size_t l = 0; l < m.layer_names.size(); ++l) {
-      if (l > 0) os << ',';
-      os << "\"" << escaped(m.layer_names[l]) << "\"";
+      if (l > 0) out += ',';
+      out += '"';
+      append_escaped(out, m.layer_names[l]);
+      out += '"';
     }
-    os << "],\n";
-    os << "      \"phase_layer_transfers\": {";
+    out += "],\n      \"phase_layer_transfers\": {";
     for (int p = 0; p < kNumPhases; ++p) {
-      if (p > 0) os << ", ";
-      os << "\"" << to_string(static_cast<Phase>(p)) << "\": [";
+      if (p > 0) out += ", ";
+      out += '"';
+      out += to_string(static_cast<Phase>(p));
+      out += "\": [";
       const auto& v = m.phase_layer_transfers[static_cast<std::size_t>(p)];
       for (std::size_t l = 0; l < v.size(); ++l) {
-        if (l > 0) os << ',';
-        os << v[l];
+        if (l > 0) out += ',';
+        append_int(out, v[l]);
       }
-      os << "]";
+      out += ']';
     }
-    os << "},\n";
-    os << "      \"total_ops\": " << m.total_ops << ",\n";
-    os << "      \"rfo_invalidations\": " << m.rfo_invalidations << "\n";
-    os << "    }";
+    out += "},\n      \"total_ops\": ";
+    append_int(out, m.total_ops);
+    out += ",\n      \"rfo_invalidations\": ";
+    append_int(out, m.rfo_invalidations);
+    out += "\n    }";
   }
-  os << "\n  ],\n";
-  os << "  \"trace\": {\"dropped_events\": " << s.dropped_events
-     << ", \"dropped_spans\": " << s.dropped_spans << "}\n";
-  os << "}\n";
-  return os.str();
+  out += "\n  ],\n  \"trace\": {\"dropped_events\": ";
+  append_int(out, s.dropped_events);
+  out += ", \"dropped_spans\": ";
+  append_int(out, s.dropped_spans);
+  out += "}\n}\n";
+  return f;
+}
+
+std::string to_json(const SweepSummary& s) {
+  // A typical row renders to ~430 bytes.  Sizing for that up front spares
+  // the copies a doubling string makes; longer rows only cost a regrowth.
+  constexpr std::size_t kRowBytes = 512;
+  const JsonFrame frame = json_frame(s, s.rows.size());
+  std::string out;
+  out.reserve(frame.head.size() + s.rows.size() * kRowBytes +
+              frame.tail.size());
+  out += frame.head;
+  for (std::size_t i = 0; i < s.rows.size(); ++i) {
+    if (i > 0) out += ',';
+    append_row_json(out, s.rows[i]);
+  }
+  out += frame.tail;
+  return out;
 }
 
 std::string to_table(const SweepSummary& s) {

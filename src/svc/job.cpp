@@ -3,8 +3,10 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace armbar::svc {
 
@@ -13,7 +15,9 @@ namespace {
 /// Minimal strict parser for one flat JSON object.  The job schema is
 /// deliberately flat (no nesting, no arrays), so a hand-rolled tokenizer
 /// stays small, dependency-free, and easy to fuzz; anything outside the
-/// subset is rejected with a position-precise message.
+/// subset is rejected with a position-precise message.  Names and values
+/// are views into the line, or into a decode buffer when they hold
+/// escapes; error-context text is built only on the failure path.
 class FlatJsonParser {
  public:
   explicit FlatJsonParser(const std::string& text) : s_(text) {}
@@ -31,14 +35,14 @@ class FlatJsonParser {
     }
     for (;;) {
       skip_ws();
-      const std::string key = parse_string("field name");
+      const std::string_view key = parse_string(nullptr, key_buf_);
       skip_ws();
       expect(':');
       skip_ws();
       if (peek() == '"') {
-        field(key, parse_string("value of '" + key + "'"), 0.0, true);
+        field(key, parse_string(&key, value_buf_), 0.0, true);
       } else {
-        field(key, std::string(), parse_number(key), false);
+        field(key, std::string_view(), parse_number(key), false);
       }
       skip_ws();
       const char c = peek();
@@ -79,30 +83,50 @@ class FlatJsonParser {
     if (pos_ != s_.size()) fail("trailing characters after object");
   }
 
-  std::string parse_string(const std::string& what) {
-    if (peek() != '"') fail("expected string for " + what);
-    ++pos_;
-    std::string out;
+  /// What a string is, for error messages: the value of field @p *key,
+  /// or a field name when @p key is null.
+  static std::string what(const std::string_view* key) {
+    return key != nullptr ? "value of '" + std::string(*key) + "'"
+                          : std::string("field name");
+  }
+
+  /// Parse a string token.  Without escapes the result is a view into
+  /// the line; otherwise it is decoded into @p buf.
+  std::string_view parse_string(const std::string_view* key,
+                                std::string& buf) {
+    if (peek() != '"') fail("expected string for " + what(key));
+    const std::size_t start = ++pos_;
+    while (pos_ < s_.size()) {
+      const char c = s_[pos_];
+      if (c == '"') return std::string_view(s_).substr(start, pos_++ - start);
+      if (c == '\\') break;
+      if (static_cast<unsigned char>(c) < 0x20) {
+        ++pos_;
+        fail("raw control character inside " + what(key));
+      }
+      ++pos_;
+    }
+    buf.assign(s_, start, pos_ - start);
     while (pos_ < s_.size()) {
       const char c = s_[pos_++];
-      if (c == '"') return out;
+      if (c == '"') return buf;
       if (static_cast<unsigned char>(c) < 0x20)
-        fail("raw control character inside " + what);
+        fail("raw control character inside " + what(key));
       if (c != '\\') {
-        out += c;
+        buf += c;
         continue;
       }
       if (pos_ >= s_.size()) break;
       const char esc = s_[pos_++];
       switch (esc) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
+        case '"': buf += '"'; break;
+        case '\\': buf += '\\'; break;
+        case '/': buf += '/'; break;
+        case 'b': buf += '\b'; break;
+        case 'f': buf += '\f'; break;
+        case 'n': buf += '\n'; break;
+        case 'r': buf += '\r'; break;
+        case 't': buf += '\t'; break;
         case 'u': {
           if (pos_ + 4 > s_.size()) fail("truncated \\u escape");
           unsigned code = 0;
@@ -117,21 +141,21 @@ class FlatJsonParser {
             else fail("bad hex digit in \\u escape");
           }
           if (code > 0x7f) fail("non-ASCII \\u escape (unsupported)");
-          out += static_cast<char>(code);
+          buf += static_cast<char>(code);
           break;
         }
         default: fail(std::string("unknown escape '\\") + esc + "'");
       }
     }
-    fail("unterminated string in " + what);
+    fail("unterminated string in " + what(key));
   }
 
-  double parse_number(const std::string& key) {
+  double parse_number(std::string_view key) {
     // true/false are accepted nowhere in the schema; reject with a
     // field-precise message rather than a generic parse error.
     if (s_.compare(pos_, 4, "true") == 0 || s_.compare(pos_, 5, "false") == 0 ||
         s_.compare(pos_, 4, "null") == 0)
-      fail("field '" + key + "' must be a number or string");
+      fail("field '" + std::string(key) + "' must be a number or string");
     const std::size_t start = pos_;
     if (peek() == '-') ++pos_;
     while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
@@ -145,28 +169,42 @@ class FlatJsonParser {
       while (std::isdigit(static_cast<unsigned char>(peek()))) ++pos_;
     }
     if (pos_ == start || (pos_ == start + 1 && s_[start] == '-'))
-      fail("expected value for field '" + key + "'");
-    std::size_t used = 0;
-    const std::string tok = s_.substr(start, pos_ - start);
+      fail("expected value for field '" + std::string(key) + "'");
+    // std::from_chars and std::stod both round correctly, so they agree
+    // on every token from_chars reads whole to zero or a normal double.
+    // Everything else (partial reads, overflow, subnormals, which stod
+    // rejects only when inexact) takes stod's path, so the accepted set
+    // and every message stay stod's.
+    const char* first = s_.data() + start;
+    const char* last = s_.data() + pos_;
     double v = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, v);
+    if (ec == std::errc() && end == last &&
+        (v == 0.0 || std::fabs(v) >= std::numeric_limits<double>::min()))
+      return v;
+    const std::string tok(first, last);
+    std::size_t used = 0;
     try {
       v = std::stod(tok, &used);
     } catch (const std::exception&) {
-      fail("unparseable number '" + tok + "' for field '" + key + "'");
+      // `used` stays 0: rejected below.
     }
     if (used != tok.size() || !std::isfinite(v))
-      fail("unparseable number '" + tok + "' for field '" + key + "'");
+      fail("unparseable number '" + tok + "' for field '" + std::string(key) +
+           "'");
     return v;
   }
 
   const std::string& s_;
   std::size_t pos_ = 0;
+  std::string key_buf_;
+  std::string value_buf_;
 };
 
-int require_int(const std::string& key, double v, long lo, long hi) {
+int require_int(std::string_view key, double v, long lo, long hi) {
   if (v != std::floor(v) || v < static_cast<double>(lo) ||
       v > static_cast<double>(hi))
-    throw std::invalid_argument("job line: field '" + key +
+    throw std::invalid_argument("job line: field '" + std::string(key) +
                                 "' must be an integer in [" +
                                 std::to_string(lo) + ", " +
                                 std::to_string(hi) + "]");
@@ -195,17 +233,17 @@ void append_str(std::string& key, const std::string& s) {
 JobSpec parse_job_line(const std::string& line) {
   JobSpec spec;
   FlatJsonParser parser(line);
-  parser.parse_object([&](const std::string& key, const std::string& sval,
+  parser.parse_object([&](std::string_view key, std::string_view sval,
                           double nval, bool is_string) {
-    const auto want_string = [&]() -> const std::string& {
+    const auto want_string = [&]() -> std::string_view {
       if (!is_string)
-        throw std::invalid_argument("job line: field '" + key +
+        throw std::invalid_argument("job line: field '" + std::string(key) +
                                     "' must be a string");
       return sval;
     };
     const auto want_number = [&]() -> double {
       if (is_string)
-        throw std::invalid_argument("job line: field '" + key +
+        throw std::invalid_argument("job line: field '" + std::string(key) +
                                     "' must be a number");
       return nval;
     };
@@ -244,7 +282,8 @@ JobSpec parse_job_line(const std::string& line) {
       spec.fault.seed = static_cast<std::uint64_t>(
           require_int(key, want_number(), 0, 1L << 62));
     else
-      throw std::invalid_argument("job line: unknown field '" + key + "'");
+      throw std::invalid_argument("job line: unknown field '" +
+                                  std::string(key) + "'");
   });
   return spec;
 }

@@ -47,24 +47,34 @@ constexpr double kRetryCapMs = 50.0;
 std::string render_result_tail(const JobSpec& spec,
                                const simbar::SimResult& result) {
   namespace d = obs::detail;
-  std::ostringstream os = d::json_stream();
-  os << ", \"machine\": \"" << d::escaped(spec.machine) << "\", \"barrier\": \""
-     << d::escaped(result.barrier_name) << "\", \"threads\": " << spec.threads
-     << ", \"iterations\": " << spec.iterations << ", \"mean_overhead_ns\": "
-     << d::json_num(result.mean_overhead_ns)
-     << ", \"events\": " << result.events_processed << "}";
-  return os.str();
+  std::string out = ", \"machine\": \"";
+  d::append_escaped(out, spec.machine);
+  out += "\", \"barrier\": \"";
+  d::append_escaped(out, result.barrier_name);
+  out += "\", \"threads\": ";
+  d::append_int(out, spec.threads);
+  out += ", \"iterations\": ";
+  d::append_int(out, spec.iterations);
+  out += ", \"mean_overhead_ns\": ";
+  d::append_num(out, result.mean_overhead_ns);
+  out += ", \"events\": ";
+  d::append_int(out, result.events_processed);
+  out += '}';
+  return out;
 }
 
 std::string render_error_tail(const std::string& kind,
                               const std::string& message,
                               const std::string& diagnostics) {
   namespace d = obs::detail;
-  std::ostringstream os = d::json_stream();
-  os << ", \"error\": {\"kind\": \"" << d::escaped(kind)
-     << "\", \"message\": \"" << d::escaped(message)
-     << "\", \"diagnostics\": \"" << d::escaped(diagnostics) << "\"}}";
-  return os.str();
+  std::string out = ", \"error\": {\"kind\": \"";
+  d::append_escaped(out, kind);
+  out += "\", \"message\": \"";
+  d::append_escaped(out, message);
+  out += "\", \"diagnostics\": \"";
+  d::append_escaped(out, diagnostics);
+  out += "\"}}";
+  return out;
 }
 
 std::string oversized_tail(std::size_t max_bytes) {
@@ -74,8 +84,15 @@ std::string oversized_tail(std::size_t max_bytes) {
                            "");
 }
 
-void emit_line(std::ostream& out, std::uint64_t seq, const std::string& tail) {
-  out << "{\"job\": " << seq << tail << '\n';
+/// Write one result line with a single write, rendered into the
+/// caller's reused @p buf.
+void emit_line(std::ostream& out, std::string& buf, std::uint64_t seq,
+               const std::string& tail) {
+  buf.assign("{\"job\": ");
+  obs::detail::append_int(buf, seq);
+  buf += tail;
+  buf += '\n';
+  out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
 /// Run @p fn under the sweep layer's error taxonomy: on failure, @p out
@@ -160,9 +177,10 @@ class MachineRegistry {
       machines_;
 };
 
-/// Compute one cell end to end (resolve, simulate, render).  Never
-/// throws: failures become error entries via classify_into.  A nonzero
-/// @p deadline_ms arms the engine's wall-clock watchdog for this run.
+/// Compute one cell end to end (resolve, simulate, render the result line
+/// and the summary row).  Never throws: failures become error entries via
+/// classify_into.  A nonzero @p deadline_ms arms the engine's wall-clock
+/// watchdog for this run.
 std::shared_ptr<CachedResult> compute_cell(const JobSpec& spec,
                                            MachineRegistry& registry,
                                            double deadline_ms) {
@@ -184,6 +202,10 @@ std::shared_ptr<CachedResult> compute_cell(const JobSpec& spec,
         simbar::measure_barrier(machine, factory, cfg, &tracer);
     entry->report = obs::make_metrics(machine, cfg, result, tracer);
     entry->tail = render_result_tail(spec, result);
+    obs::append_row_json(entry->row, obs::summary_row(entry->report));
+    // Entries live as long as the cache: keep them at their exact size.
+    entry->tail.shrink_to_fit();
+    entry->row.shrink_to_fit();
   });
   return entry;
 }
@@ -448,12 +470,14 @@ struct SweepService::Impl {
       Slot& slot = slots[seq & (slots.size() - 1)];
       if (slot.published.load(std::memory_order_seq_cst) != seq + 1) break;
       const CachedResult& entry = *slot.entry;
-      emit_line(*out, seq - base, entry.tail);
-      if (entry.failed)
+      emit_line(*out, line_buf, seq - base, entry.tail);
+      if (entry.failed) {
         ++failed;
-      else
-        obs::accumulate(summary, entry.report);
-      slot.entry.reset();
+        slot.entry.reset();
+      } else {
+        obs::accumulate_totals(totals, entry.report);
+        rows.push_back(std::move(slot.entry));
+      }
       emitted.store(++seq, std::memory_order_release);
       unflushed.store(true, std::memory_order_relaxed);
     }
@@ -482,14 +506,26 @@ struct SweepService::Impl {
     return base;
   }
 
-  /// End the batch (every record emitted): write the summary, return the
-  /// failed-record count.
+  /// End the batch (every record emitted): write the summary's frame and
+  /// the kept rows straight to the stream, and return the failed-record
+  /// count.
   std::uint64_t close_batch() {
     lock_drain();
-    *out << obs::to_json(summary) << '\n';
+    const obs::JsonFrame frame = obs::json_frame(totals, rows.size());
+    const auto write = [this](const std::string& part) {
+      out->write(part.data(), static_cast<std::streamsize>(part.size()));
+    };
+    write(frame.head);
+    for (std::size_t i = 0; i < rows.size(); ++i) {
+      if (i > 0) out->put(',');
+      write(rows[i]->row);
+    }
+    write(frame.tail);
+    out->put('\n');
     const std::uint64_t n_failed = failed;
     out = nullptr;
-    summary = {};
+    rows.clear();  // keeps its capacity for the next batch
+    totals = {};
     unflushed.store(false, std::memory_order_relaxed);
     draining.store(false, std::memory_order_seq_cst);
     return n_failed;
@@ -517,8 +553,14 @@ struct SweepService::Impl {
   // The batch being emitted; touched only by the `draining` holder.
   std::ostream* out = nullptr;
   std::uint64_t base = 0;  ///< seq of the batch's job 0
-  obs::SweepSummary summary;
+  /// The summary so far: the successful records in job order, whose
+  /// entries hold the rendered rows, and the machine totals and trace
+  /// counters (totals.rows stays empty).  Holding an entry copies nothing;
+  /// a copy of every row would add the whole rows text to the batch.
+  std::vector<std::shared_ptr<const CachedResult>> rows;
+  obs::SweepSummary totals;
   std::uint64_t failed = 0;
+  std::string line_buf;  ///< emit_line's reused buffer
 };
 
 SweepService::SweepService(ServiceOptions opts)
@@ -739,6 +781,7 @@ ServiceStats SweepService::run_oneshot(std::istream& in, std::ostream& out,
 
   std::uint64_t failed = 0;
   std::vector<obs::MetricsReport> reports;
+  std::string line_buf;
   for (std::size_t i = 0; i < lines.size(); ++i) {
     LineSlot& slot = lines[i];
     if (slot.spec) {
@@ -761,7 +804,7 @@ ServiceStats SweepService::run_oneshot(std::istream& in, std::ostream& out,
       }
     }
     if (slot.failed) ++failed;
-    emit_line(out, i, slot.tail);
+    emit_line(out, line_buf, i, slot.tail);
   }
 
   const obs::SweepSummary summary = obs::aggregate(reports);

@@ -4,6 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <locale>
+#include <random>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -167,6 +172,211 @@ TEST(Aggregate, AccumulateFoldMatchesAggregate) {
   for (const MetricsReport& r : reports) accumulate(folded, r);
   EXPECT_EQ(to_json(folded), to_json(aggregate(reports)));
   EXPECT_EQ(folded.machines.size(), 4u);
+}
+
+// -- the stream renderer to_json replaced --------------------------------
+//
+// A test-only copy of the ostringstream renderer, kept as the oracle for
+// to_json's string appender: same classic-locale stream, same escaping,
+// doubles as the classic stream prints them (non-finite as null).
+
+std::string stream_escaped(const std::string& s) {
+  static const char* hex = "0123456789abcdef";
+  std::string out;
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          out += "\\u00";
+          out += hex[(static_cast<unsigned char>(c) >> 4) & 0xf];
+          out += hex[static_cast<unsigned char>(c) & 0xf];
+        } else {
+          out += c;
+        }
+        break;
+    }
+  }
+  return out;
+}
+
+std::string stream_num(double v) {
+  if (!std::isfinite(v)) return "null";
+  std::ostringstream os;
+  os.imbue(std::locale::classic());
+  os << v;
+  return os.str();
+}
+
+std::string stream_to_json(const SweepSummary& s) {
+  std::ostringstream os;
+  os.imbue(std::locale::classic());
+  os << "{\n";
+  os << "  \"runs\": " << s.rows.size() << ",\n";
+  os << "  \"rows\": [";
+  for (std::size_t i = 0; i < s.rows.size(); ++i) {
+    const SweepSummary::Row& r = s.rows[i];
+    if (i > 0) os << ',';
+    os << "\n    {\n";
+    os << "      \"machine\": \"" << stream_escaped(r.machine) << "\",\n";
+    os << "      \"barrier\": \"" << stream_escaped(r.barrier) << "\",\n";
+    os << "      \"threads\": " << r.threads << ",\n";
+    os << "      \"iterations\": " << r.iterations << ",\n";
+    os << "      \"mean_overhead_ns\": " << stream_num(r.mean_overhead_ns)
+       << ",\n";
+    os << "      \"bound\": \"" << to_string(r.bound) << "\",\n";
+    os << "      \"span_shares\": {\"arrival\": "
+       << stream_num(r.shares.arrival)
+       << ", \"notification\": " << stream_num(r.shares.notification)
+       << ", \"other\": " << stream_num(r.shares.other) << "},\n";
+    os << "      \"total_ops\": " << r.total_ops << ",\n";
+    os << "      \"remote_transfers\": " << r.remote_transfers << ",\n";
+    os << "      \"rfo_invalidations\": " << r.rfo_invalidations << ",\n";
+    os << "      \"rfo_per_kop\": " << stream_num(r.rfo_per_kop) << ",\n";
+    os << "      \"layer_transfers\": [";
+    for (std::size_t l = 0; l < r.layer_transfers.size(); ++l) {
+      if (l > 0) os << ',';
+      os << r.layer_transfers[l];
+    }
+    os << "]\n    }";
+  }
+  os << "\n  ],\n";
+  os << "  \"machines\": [";
+  for (std::size_t i = 0; i < s.machines.size(); ++i) {
+    const SweepSummary::MachineTotals& m = s.machines[i];
+    if (i > 0) os << ',';
+    os << "\n    {\n";
+    os << "      \"machine\": \"" << stream_escaped(m.machine) << "\",\n";
+    os << "      \"runs\": " << m.runs << ",\n";
+    os << "      \"layers\": [";
+    for (std::size_t l = 0; l < m.layer_names.size(); ++l) {
+      if (l > 0) os << ',';
+      os << "\"" << stream_escaped(m.layer_names[l]) << "\"";
+    }
+    os << "],\n";
+    os << "      \"phase_layer_transfers\": {";
+    for (int p = 0; p < kNumPhases; ++p) {
+      if (p > 0) os << ", ";
+      os << "\"" << to_string(static_cast<Phase>(p)) << "\": [";
+      const auto& v = m.phase_layer_transfers[static_cast<std::size_t>(p)];
+      for (std::size_t l = 0; l < v.size(); ++l) {
+        if (l > 0) os << ',';
+        os << v[l];
+      }
+      os << "]";
+    }
+    os << "},\n";
+    os << "      \"total_ops\": " << m.total_ops << ",\n";
+    os << "      \"rfo_invalidations\": " << m.rfo_invalidations << "\n";
+    os << "    }";
+  }
+  os << "\n  ],\n";
+  os << "  \"trace\": {\"dropped_events\": " << s.dropped_events
+     << ", \"dropped_spans\": " << s.dropped_spans << "}\n";
+  os << "}\n";
+  return os.str();
+}
+
+/// Comma decimal point and '.'-grouped thousands: a stream left on the
+/// global locale would print 1234.5 as "1.234,5".
+struct CommaDecimalPunct : std::numpunct<char> {
+  char do_decimal_point() const override { return ','; }
+  char do_thousands_sep() const override { return '.'; }
+  std::string do_grouping() const override { return "\3"; }
+};
+
+/// Swaps in the comma-decimal locale for the duration of a scope.
+struct GlobalLocaleGuard {
+  std::locale previous;
+  GlobalLocaleGuard()
+      : previous(std::locale::global(
+            std::locale(std::locale::classic(), new CommaDecimalPunct))) {}
+  ~GlobalLocaleGuard() { std::locale::global(previous); }
+};
+
+/// A seeded random summary: names that need escapes, NaN/Inf and huge or
+/// tiny doubles, empty and ragged layer vectors, several machines.
+SweepSummary random_summary(std::mt19937_64& rng, std::size_t rows) {
+  const auto below = [&](std::uint64_t n) { return rng() % n; };
+  const auto name = [&] {
+    static const char alphabet[] =
+        "abcXYZ019 _-+./\"\\\b\f\n\r\t\x01\x1f\x7f\xc3\xa9";
+    std::string out;
+    const std::size_t len = below(24);
+    for (std::size_t i = 0; i < len; ++i)
+      out += alphabet[below(sizeof alphabet - 1)];
+    return out;
+  };
+  const auto number = [&]() -> double {
+    switch (below(8)) {
+      case 0: return std::numeric_limits<double>::quiet_NaN();
+      case 1: return below(2) ? std::numeric_limits<double>::infinity()
+                              : -std::numeric_limits<double>::infinity();
+      case 2: return 0.0;
+      case 3: return static_cast<double>(below(10'000'000));
+      case 4: return std::ldexp(static_cast<double>(rng() >> 11),
+                                static_cast<int>(below(200)) - 150);
+      default: return static_cast<double>(rng() >> 11) / (1ull << 53);
+    }
+  };
+  const auto counts = [&] {
+    std::vector<std::uint64_t> v(below(6));
+    for (auto& x : v) x = below(3) ? below(5000) : rng();
+    return v;
+  };
+  SweepSummary s;
+  for (std::size_t i = 0; i < rows; ++i) {
+    SweepSummary::Row r;
+    r.machine = name();
+    r.barrier = name();
+    r.threads = static_cast<int>(below(5000)) - 10;
+    r.iterations = static_cast<int>(rng());
+    r.mean_overhead_ns = number();
+    r.shares = {number(), number(), number()};
+    r.bound = static_cast<Bound>(below(3));
+    r.total_ops = rng();
+    r.remote_transfers = below(100000);
+    r.rfo_invalidations = rng() >> below(64);
+    r.rfo_per_kop = number();
+    r.layer_transfers = counts();
+    s.rows.push_back(std::move(r));
+  }
+  const std::size_t machines = below(4);
+  for (std::size_t i = 0; i < machines; ++i) {
+    SweepSummary::MachineTotals m;
+    m.machine = name();
+    for (std::size_t l = below(5); l > 0; --l) m.layer_names.push_back(name());
+    for (int p = 0; p < kNumPhases; ++p)
+      m.phase_layer_transfers.push_back(counts());
+    m.total_ops = rng();
+    m.rfo_invalidations = below(1000);
+    m.runs = static_cast<int>(below(100000));
+    s.machines.push_back(std::move(m));
+  }
+  s.dropped_events = below(2) ? 0 : rng();
+  s.dropped_spans = below(1000);
+  return s;
+}
+
+TEST(Aggregate, JsonMatchesStreamRenderer) {
+  std::mt19937_64 rng(2024);
+  std::vector<SweepSummary> summaries;
+  summaries.push_back(SweepSummary{});  // 0 rows, no machines
+  for (const std::size_t rows : {0, 1, 2, 3, 7, 40, 200})
+    for (int rep = 0; rep < 6; ++rep)
+      summaries.push_back(random_summary(rng, rows));
+  for (const SweepSummary& s : summaries)
+    ASSERT_EQ(to_json(s), stream_to_json(s));
+
+  GlobalLocaleGuard guard;
+  for (const SweepSummary& s : summaries)
+    ASSERT_EQ(to_json(s), stream_to_json(s)) << "under a comma-decimal locale";
 }
 
 TEST(Aggregate, RealSweepRoundTrip) {

@@ -171,6 +171,84 @@ TEST(JobParse, RejectsMalformedLines) {
                std::invalid_argument);
 }
 
+TEST(JobParse, NumberTokensMatchStod) {
+  // Each token's value or message, pinned from the substr + std::stod
+  // parser: the std::from_chars fast path must accept the same set,
+  // read the same doubles, and word every rejection the same way.
+  struct Case {
+    const char* token;
+    double value;       // when error is null
+    const char* error;  // the whole message, or null
+  };
+  const Case cases[] = {
+      {"1.", 1.0, nullptr},
+      {".5", 0.5, nullptr},
+      {"-0", -0.0, nullptr},
+      {"00", 0.0, nullptr},
+      {"0e999", 0.0, nullptr},
+      {"1e400", 0,
+       "job line: unparseable number '1e400' for field 'noise_period_us' "
+       "at offset 25"},
+      {"1e-400", 0,
+       "job line: unparseable number '1e-400' for field 'noise_period_us' "
+       "at offset 26"},
+      {"1.5e", 0,
+       "job line: unparseable number '1.5e' for field 'noise_period_us' at "
+       "offset 24"},
+      {"1e+", 0,
+       "job line: unparseable number '1e+' for field 'noise_period_us' at "
+       "offset 23"},
+      {".", 0,
+       "job line: unparseable number '.' for field 'noise_period_us' at "
+       "offset 21"},
+      {"-.", 0,
+       "job line: unparseable number '-.' for field 'noise_period_us' at "
+       "offset 22"},
+      {"e5", 0,
+       "job line: unparseable number 'e5' for field 'noise_period_us' at "
+       "offset 22"},
+      {"-", 0,
+       "job line: expected value for field 'noise_period_us' at offset 21"},
+      // 17 significant digits.
+      {"12345678901234567", 12345678901234568.0, nullptr},
+      {"0.10000000000000001", 0.1, nullptr},
+      {"1.2345678901234567e-300", 1.2345678901234567e-300, nullptr},
+      {"98765432109876543e5", 9.8765432109876543e21, nullptr},
+      {"1.7976931348623157e308", 1.7976931348623157e308, nullptr},
+      {"1.7976931348623159e308", 0,
+       "job line: unparseable number '1.7976931348623159e308' for field "
+       "'noise_period_us' at offset 42"},
+      // Inexact subnormals: stod reports ERANGE, so they stay rejected.
+      {"2.2250738585072011e-308", 0,
+       "job line: unparseable number '2.2250738585072011e-308' for field "
+       "'noise_period_us' at offset 43"},
+      {"4.9e-324", 0,
+       "job line: unparseable number '4.9e-324' for field 'noise_period_us' "
+       "at offset 28"},
+      {"-1e-320", 0,
+       "job line: unparseable number '-1e-320' for field 'noise_period_us' "
+       "at offset 27"},
+  };
+  for (const Case& c : cases) {
+    const std::string line =
+        std::string("{\"noise_period_us\": ") + c.token + "}";
+    if (c.error == nullptr) {
+      const svc::JobSpec spec = svc::parse_job_line(line);
+      EXPECT_EQ(spec.fault.noise.period_us, c.value) << c.token;
+      EXPECT_EQ(std::signbit(spec.fault.noise.period_us),
+                std::signbit(c.value))
+          << c.token;
+      continue;
+    }
+    try {
+      svc::parse_job_line(line);
+      ADD_FAILURE() << c.token << " parsed";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), c.error) << c.token;
+    }
+  }
+}
+
 // -- cache keys -------------------------------------------------------------
 
 TEST(CacheKey, EqualSpecsEqualKeys) {
@@ -439,6 +517,48 @@ TEST(ServiceIdentity, WarmCacheServesIdenticalBytes) {
   // deterministic error cells) hits.
   EXPECT_EQ(warm.cache_hits, warm.jobs - 1);
   EXPECT_EQ(cold.jobs, warm.jobs);
+}
+
+TEST(ServiceIdentity, LongStreamOfHitsMissesAndErrorsMatchesOneshot) {
+  // 2,000 lines: a small pool of cells repeated many times (hits once
+  // computed), a new cell every so often (misses), parse errors and
+  // oversized lines.  The summary rows come from the cached row text, so
+  // this pins them against one-shot's re-render, summary included.
+  std::mt19937 rng(11);
+  const char* algos[] = {"dis", "sense", "cmb", "mcs"};
+  const std::string big(svc::ServiceOptions::kDefaultMaxLineBytes + 10, 'x');
+  std::string jobs;
+  int fresh = 0;
+  for (int i = 0; i < 2000; ++i) {
+    const unsigned pick = rng() % 100;
+    if (pick < 3) {
+      jobs += "{\"threads\": " + std::to_string(pick) + ".5}\n";
+    } else if (pick < 4) {
+      jobs += "{\"machine\": \"" + big + "\"}\n";
+    } else {
+      // Most lines reuse one of 12 cells; a few name a cell not seen yet.
+      const int cell = pick < 10 ? 12 + fresh++ : static_cast<int>(rng() % 12);
+      jobs += std::string("{\"machine\": \"") +
+              (cell % 2 == 0 ? "kunpeng920" : "thunderx2") +
+              "\", \"algo\": \"" + algos[cell % 4] +
+              "\", \"threads\": " + std::to_string(2 + cell % 5) +
+              ", \"iterations\": " + std::to_string(2 + cell) + "}\n";
+    }
+  }
+  const std::string reference = oneshot_output(jobs, 2);
+  EXPECT_NE(reference.find("\"kind\": \"parse-error\""), std::string::npos);
+  EXPECT_NE(reference.find("exceeds max_line_bytes"), std::string::npos);
+  for (const int workers : {1, 2, 4}) {
+    svc::ServiceOptions opts;
+    opts.workers = workers;
+    EXPECT_EQ(daemon_output(jobs, opts), reference)
+        << "daemon diverged at workers=" << workers;
+  }
+  svc::ServiceOptions uncached;
+  uncached.workers = 2;
+  uncached.use_cache = false;
+  EXPECT_EQ(daemon_output(jobs, uncached), reference)
+      << "uncached daemon diverged";
 }
 
 TEST(ServiceIdentity, EmptyStream) {
