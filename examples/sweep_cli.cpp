@@ -183,6 +183,7 @@ int main(int argc, char** argv) {
         std::cerr << "daemon: " << stats.jobs << " job(s), " << stats.failed
                   << " failed, cache " << stats.cache_hits << " hit(s) / "
                   << stats.cache_misses << " miss(es), "
+                  << stats.intake_misses << " run on intake, "
                   << stats.jobs_per_sec() << " jobs/s ("
                   << service.workers() << " workers)\n";
         if (stats.shed + stats.retries + stats.deadline_errors > 0)

@@ -187,9 +187,11 @@ class MemSystem {
   /// machine's mlp_delay; this is how a real core's poll loop over
   /// several padded flags behaves, and it is what makes wide fan-ins
   /// profitable (Section V-B2).  The watched ids are copied out before
-  /// the call returns; callers with a fixed watch set (the tree barriers'
-  /// precomputed child lists) pass the same buffer every episode with no
-  /// per-call allocation.  co_await yields nothing.
+  /// the call returns, into a buffer @p core reuses for every such spin:
+  /// a core has at most one spin outstanding (placements are distinct),
+  /// so callers with a fixed watch set (the tree barriers' precomputed
+  /// child lists) pass the same span every episode and nothing is
+  /// allocated per call.  co_await yields nothing.
   SpinAllAwaiter spin_until_all(int core, std::span<const VarId> vars,
                                 SpinPred pred);
 
@@ -314,6 +316,16 @@ class MemSystem {
     std::uint64_t value;
   };
 
+  /// One (line, var) pair a SpinAllAwaiter still watches.  Its pending
+  /// list is a single flat vector ordered by line id, insertion order
+  /// preserved within a line: the watch sets are small and scanned
+  /// linearly, so one contiguous buffer settles and erases cheaper than a
+  /// line -> vars map.
+  struct PendingVar {
+    LineId line;
+    VarId var;
+  };
+
   /// Costed read issued at @p issue; returns its finish time.  The
   /// <Traced, Faulted> instantiation is chosen once per run (mode_); the
   /// plain one compiles to straight-line cost arithmetic with no hook
@@ -385,6 +397,9 @@ class MemSystem {
   /// Scratch list reused by wake_waiters (keeps its capacity between
   /// wake-ups; wake_waiters never re-enters itself).
   std::vector<WaiterBase*> wake_scratch_;
+  /// Per-core pending lists of spin_until_all, reused across spins (they
+  /// keep their capacity); a core has at most one spin outstanding.
+  std::vector<std::vector<PendingVar>> spin_all_pending_;
   Tracer* tracer_ = nullptr;
   /// Fault-injection plan; nullptr (the default) = unperturbed.
   const fault::Plan* fault_ = nullptr;
@@ -439,20 +454,10 @@ class [[nodiscard]] MemSystem::SpinAllAwaiter final
   /// if vars remain pending on the line.
   bool settle_line(LineId line);
 
-  /// One watched (line, var) pair.  A single flat vector ordered by line
-  /// id — insertion order preserved within a line — replaces the former
-  /// line -> vector<VarId> two-level layout: the watch sets are small and
-  /// scanned linearly, so one contiguous buffer with no per-line heap
-  /// blocks settles and erases cheaper, and iteration order (ascending
-  /// line, insertion order within) is unchanged.
-  struct PendingVar {
-    LineId line;
-    VarId var;
-  };
-
   MemSystem& mem_;
   SpinPred pred_;
-  std::vector<PendingVar> pending_;
+  /// The core's reused list (MemSystem::spin_all_pending_).
+  std::vector<PendingVar>& pending_;
   int remaining_ = 0;
   Picos latest_read_ = 0;  ///< resume no earlier than the slowest poll
   std::coroutine_handle<> handle_;

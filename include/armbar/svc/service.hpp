@@ -4,7 +4,8 @@
 // sweep_cli's one-shot path answers one job list and exits; this module
 // is the sustained-throughput counterpart: one intake thread that parses
 // each job, keys it and answers a cache hit itself, a pool of persistent
-// workers fed only the misses through lock-free SPSC rings,
+// workers fed only the misses through lock-free SPSC rings (a miss that
+// finds every ring full runs on intake, which would otherwise only wait),
 // machine/topology/latency tables resolved once per service and reused
 // across jobs, and a sharded result cache keyed on every simulation input
 // so a repeated cell costs a hash lookup instead of a simulation.
@@ -49,8 +50,12 @@ namespace armbar::svc {
 struct ServiceOptions {
   /// Worker threads; 0 = hardware concurrency.
   int workers = 0;
-  /// Per-worker SPSC ring slots (rounded up to a power of two).
-  std::size_t ring_capacity = 256;
+  /// Per-worker SPSC ring slots (rounded up to a power of two).  A miss
+  /// that finds every ring full runs on intake, so a deeper ring only
+  /// lengthens the queue a miss waits in: a record's latency is about
+  /// jobs in flight / throughput.  The reorder window is 2 x workers x
+  /// slots, rounded up to a power of two.
+  std::size_t ring_capacity = 128;
   /// Result-cache lock shards.
   std::size_t cache_shards = 16;
   /// Disable to force every occurrence of a cell to simulate (the
@@ -87,6 +92,7 @@ struct ServiceStats {
   std::uint64_t failed = 0;      ///< jobs that emitted an error line
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
+  std::uint64_t intake_misses = 0;  ///< misses run on intake, rings full
   std::uint64_t shed = 0;        ///< jobs rejected at intake (kind "shed")
   std::uint64_t retries = 0;     ///< transient re-attempts inside workers
   std::uint64_t deadline_errors = 0;  ///< jobs whose final record timed out
@@ -107,9 +113,10 @@ class SweepService {
   /// Stream jobs from @p in until EOF (or request_stop()): per-job JSONL
   /// result lines plus a trailing SweepSummary JSON object are written to
   /// @p out.  A record is written as soon as it is next in job order —
-  /// while intake waits on input, by the worker that finished it, one
-  /// thread at a time — and @p out is flushed whenever the next read may
-  /// block (in.rdbuf()->in_avail() <= 0).  May be called repeatedly on
+  /// while intake waits on input or on in-flight jobs, by the worker that
+  /// finished it, one thread at a time — and @p out is flushed whenever
+  /// intake may block: before a read that may (in.rdbuf()->in_avail() <=
+  /// 0) and while it waits.  May be called repeatedly on
   /// one service (the cache persists across calls — that is the warm
   /// path).  Not reentrant: one serve() at a time.
   ServiceStats serve(std::istream& in, std::ostream& out);

@@ -13,6 +13,7 @@ MemSystem::MemSystem(Engine& engine, topo::Machine machine)
   stats_.layer_transfers.assign(
       static_cast<std::size_t>(machine_.num_layers()), 0);
   core_miss_finish_.resize(static_cast<std::size_t>(machine_.num_cores()));
+  spin_all_pending_.resize(static_cast<std::size_t>(machine_.num_cores()));
   holder_scratch_.assign(static_cast<std::size_t>(machine_.num_cores()));
   sharer_stride_ =
       util::words_for_bits(static_cast<std::size_t>(machine_.num_cores()));
@@ -532,8 +533,11 @@ bool MemSystem::SpinAwaiter::on_line_write(MemSystem& mem, LineId /*line*/,
 MemSystem::SpinAllAwaiter::SpinAllAwaiter(MemSystem& mem, int core,
                                           std::span<const VarId> vars,
                                           SpinPred pred)
-    : WaiterBase(core), mem_(mem), pred_(pred) {
-  pending_.reserve(vars.size());
+    : WaiterBase(core),
+      mem_(mem),
+      pred_(pred),
+      pending_(mem.spin_all_pending_[static_cast<std::size_t>(core)]) {
+  pending_.clear();
   for (const VarId v : vars) {
     const LineId line = mem_.line_of(v);
     // Insert after existing entries of the same line: ascending line

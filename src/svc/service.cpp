@@ -40,6 +40,10 @@ namespace {
 constexpr double kRetryBaseMs = 1.0;
 constexpr double kRetryCapMs = 50.0;
 
+/// Polls of its own drain intake makes before it sleeps on a full
+/// reorder window or an unfinished batch.
+constexpr int kIntakeSpins = 64;
+
 // -- rendering (shared by the daemon and one-shot paths; the
 // byte-identity guarantee is exactly "both paths call these") ------------
 
@@ -395,6 +399,9 @@ struct SweepService::Impl {
   }
 
   /// Compute a miss (with transient retries), cache it, and publish it.
+  /// Workers run every miss this way, and so does intake with a miss no
+  /// ring has room for (serve()); intake is never blocked then, so it
+  /// skips the drain below and drains on its return.
   void process(const Request& req) {
     std::shared_ptr<CachedResult> computed;
     for (int attempt = 1;; ++attempt) {
@@ -414,11 +421,12 @@ struct SweepService::Impl {
     if (opts.use_cache && !(computed->failed && computed->transient))
       cache.insert(req.key, computed);
     post(req.seq, std::move(computed));
-    // Dekker pair with intake's read window (serve()): this side stores
-    // `published` (in post), then loads `intake_reading`; intake stores
-    // `intake_reading`, then loads `published` (in drain_locked).  Either
-    // this worker drains, or intake sees the record before it blocks.
-    if (intake_reading.load(std::memory_order_seq_cst))
+    // Dekker pair with intake's blocking read or wait (serve()): this side
+    // stores `published` (in post), then loads `intake_blocked`; intake
+    // stores `intake_blocked`, then loads `published` (in drain_locked).
+    // Either this worker drains, or intake sees the record before it
+    // blocks.
+    if (intake_blocked.load(std::memory_order_seq_cst))
       try_drain(/*worker=*/true);
   }
 
@@ -433,9 +441,11 @@ struct SweepService::Impl {
   // -- in-order emission -----------------------------------------------------
   //
   // Whichever thread holds `draining` writes every ready head-of-window
-  // record.  A worker writes only while intake is in a read that may block
-  // (`intake_reading`) and stops once the read returns; the rest of the
-  // time intake drains itself, so the warm path keeps its workers on jobs.
+  // record.  A worker writes only while intake is in a read or a wait that
+  // may block (`intake_blocked`), and stops once intake is back; the rest
+  // of the time intake drains itself, so the warm path keeps its workers
+  // on jobs.  A worker that advances `emitted` notifies it: a waiting
+  // intake sleeps on it (serve()).
 
   /// Write every record whose turn has come, unless another thread holds
   /// the drain lock; that holder then sees the record.
@@ -454,7 +464,7 @@ struct SweepService::Impl {
   /// After a release: is the head record ready, or is output waiting for
   /// a flush while intake may block?
   bool drain_due(bool worker) {
-    const bool reading = intake_reading.load(std::memory_order_seq_cst);
+    const bool reading = intake_blocked.load(std::memory_order_seq_cst);
     if (worker && !reading) return false;  // intake drains on its return
     const std::uint64_t seq = emitted.load(std::memory_order_seq_cst);
     return slots[seq & (slots.size() - 1)].published.load(
@@ -464,9 +474,10 @@ struct SweepService::Impl {
 
   /// Caller holds `draining`.
   void drain_locked(bool worker) {
-    std::uint64_t seq = emitted.load(std::memory_order_relaxed);
+    const std::uint64_t first = emitted.load(std::memory_order_relaxed);
+    std::uint64_t seq = first;
     for (;;) {
-      if (worker && !intake_reading.load(std::memory_order_seq_cst)) return;
+      if (worker && !intake_blocked.load(std::memory_order_seq_cst)) break;
       Slot& slot = slots[seq & (slots.size() - 1)];
       if (slot.published.load(std::memory_order_seq_cst) != seq + 1) break;
       const CachedResult& entry = *slot.entry;
@@ -481,13 +492,16 @@ struct SweepService::Impl {
       emitted.store(++seq, std::memory_order_release);
       unflushed.store(true, std::memory_order_relaxed);
     }
-    // While intake may block on input, nothing else would push buffered
-    // records out to a reader waiting on them.
+    // While intake may block, nothing else would push buffered records
+    // out to a reader waiting on them.
     if (unflushed.load(std::memory_order_relaxed) &&
-        intake_reading.load(std::memory_order_seq_cst)) {
+        intake_blocked.load(std::memory_order_seq_cst)) {
       out->flush();
       unflushed.store(false, std::memory_order_relaxed);
     }
+    // Only a worker drains while intake waits; intake needs no wake-up
+    // from its own drain.
+    if (worker && seq != first) emitted.notify_one();
   }
 
   /// Intake's blocking take of the drain lock, to open or close a batch.
@@ -542,12 +556,14 @@ struct SweepService::Impl {
   std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> deadline_errors{0};
 
-  /// Next seq to emit; advanced only by the `draining` holder.
+  /// Next seq to emit; advanced only by the `draining` holder.  A waiting
+  /// intake sleeps on it.
   std::atomic<std::uint64_t> emitted{0};
   /// The drain lock.
   std::atomic<bool> draining{false};
-  /// Intake is in a read that may block: workers drain (and flush).
-  std::atomic<bool> intake_reading{false};
+  /// Intake is in a read or a wait that may block: workers drain (and
+  /// flush).
+  std::atomic<bool> intake_blocked{false};
   /// Records written since the last flush.
   std::atomic<bool> unflushed{false};
   // The batch being emitted; touched only by the `draining` holder.
@@ -616,7 +632,26 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
     answer(std::move(e));
   };
 
-  util::SpinWait waiter;
+  // Wait until every record before @p target has been written.  Intake
+  // drains itself for a few polls, then hands draining to the workers,
+  // as for a blocking read, and sleeps on `emitted`: a worker's drain
+  // advances and notifies it.  Every record still missing is a worker's
+  // to publish: intake publishes its own answers before it waits.
+  const auto wait_emitted = [&](std::uint64_t target) {
+    for (int poll = 0; poll < kIntakeSpins; ++poll) {
+      drain();
+      if (emitted >= target) return;
+      util::cpu_relax();
+    }
+    impl.intake_blocked.store(true, std::memory_order_seq_cst);
+    for (;;) {
+      drain();
+      if (emitted >= target) break;
+      impl.emitted.wait(emitted, std::memory_order_acquire);
+    }
+    impl.intake_blocked.store(false, std::memory_order_seq_cst);
+  };
+
   std::string line;
   for (;;) {
     if (impl.stop_requested.load(std::memory_order_acquire)) break;
@@ -628,20 +663,17 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
     const bool may_block = in.good() && sb != nullptr && sb->in_avail() <= 0;
     if (may_block) {
       drain();
-      impl.intake_reading.store(true, std::memory_order_seq_cst);
+      impl.intake_blocked.store(true, std::memory_order_seq_cst);
       drain();
     }
     const LineStatus st =
         read_job_line(in, line, impl.opts.max_line_bytes);
-    if (may_block) impl.intake_reading.store(false, std::memory_order_seq_cst);
+    if (may_block) impl.intake_blocked.store(false, std::memory_order_seq_cst);
     if (st == LineStatus::kEof) break;
     const bool oversized = st == LineStatus::kOversized;
     if (oversized ? is_comment_prefix(line) : !is_job_line(line)) continue;
     // Backpressure: never have more than one reorder window in flight.
-    while (submitted - emitted >= window) {
-      drain();
-      waiter.step();
-    }
+    if (submitted - emitted >= window) wait_emitted(submitted - window + 1);
     if (oversized) {
       post_error(oversized_tail(impl.opts.max_line_bytes));
       continue;
@@ -675,24 +707,28 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
         continue;
       }
     }
+    // A miss goes to the first ring with room, from the round-robin
+    // cursor on.  With every ring full, intake runs it itself: a deeper
+    // queue would only add wait, and intake would otherwise sit idle.
     auto req = std::make_unique<Impl::Request>(Impl::Request{
         submitted, submitted - base, std::move(spec), std::move(key)});
-    Impl::Worker& target = *impl.workers[misses++ % uworkers];
-    while (!target.ring.try_push(std::move(req))) {
-      drain();
-      waiter.step();
+    const std::size_t first = misses++ % uworkers;
+    bool queued = false;
+    for (std::size_t i = 0; i < uworkers && !queued; ++i) {
+      Impl::Worker& target = *impl.workers[(first + i) % uworkers];
+      queued = target.ring.try_push(std::move(req));
+      if (queued) Impl::notify_parked(target);
     }
-    Impl::notify_parked(target);
-    waiter.reset();
+    if (!queued) {
+      impl.process(*req);
+      ++stats.intake_misses;
+    }
     ++submitted;
     drain();
   }
   // Graceful drain: intake is closed; finish everything in flight and
   // flush the reorder window before the summary.
-  while (emitted < submitted) {
-    drain();
-    waiter.step();
-  }
+  if (emitted < submitted) wait_emitted(submitted);
 
   stats.jobs = submitted - base;
   stats.failed = impl.close_batch();

@@ -496,6 +496,48 @@ TEST(ServiceIdentity, TinyRingStillOrdersCorrectly) {
   EXPECT_EQ(daemon_output(jobs, opts), oneshot_output(jobs, 1));
 }
 
+TEST(ServiceIdentity, IntakeRunsMissesWhenRingsAreFull) {
+  // 60 distinct cells into one worker's 2-slot ring: intake parses far
+  // faster than the worker simulates, so it runs the overflow itself.
+  std::string jobs;
+  for (const char* algo : {"dis", "sense", "mcs", "opt"})
+    for (int threads = 2; threads <= 6; ++threads)
+      for (int iterations = 2; iterations <= 4; ++iterations)
+        jobs += std::string("{\"machine\": \"kunpeng920\", \"algo\": \"") +
+                algo + "\", \"threads\": " + std::to_string(threads) +
+                ", \"iterations\": " + std::to_string(iterations) + "}\n";
+  const std::string reference = oneshot_output(jobs, 1);
+  for (const bool use_cache : {true, false}) {
+    svc::ServiceOptions opts;
+    opts.workers = 1;
+    opts.ring_capacity = 2;
+    opts.use_cache = use_cache;
+    std::istringstream in(jobs);
+    std::ostringstream out;
+    svc::SweepService service(opts);
+    const svc::ServiceStats stats = service.serve(in, out);
+    EXPECT_EQ(out.str(), reference) << "use_cache=" << use_cache;
+    EXPECT_EQ(stats.jobs, 60u);
+    EXPECT_GT(stats.intake_misses, 0u) << "use_cache=" << use_cache;
+    EXPECT_LT(stats.intake_misses, stats.jobs);
+  }
+
+  // 50 jobs never fill a default ring: every miss goes to a worker.
+  std::string grid;
+  for (int i = 0; i < 50; ++i)
+    grid += "{\"algo\": \"dis\", \"threads\": " + std::to_string(2 + i % 25) +
+            ", \"iterations\": 3}\n";
+  svc::ServiceOptions opts;
+  opts.workers = 1;
+  std::istringstream in(grid);
+  std::ostringstream out;
+  svc::SweepService service(opts);
+  const svc::ServiceStats stats = service.serve(in, out);
+  EXPECT_EQ(out.str(), oneshot_output(grid, 1));
+  EXPECT_GT(stats.cache_misses, 0u);
+  EXPECT_EQ(stats.intake_misses, 0u);
+}
+
 TEST(ServiceIdentity, WarmCacheServesIdenticalBytes) {
   const std::string jobs = mixed_workload();
   svc::ServiceOptions opts;
