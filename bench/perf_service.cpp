@@ -132,10 +132,9 @@ int main(int argc, char** argv) {
   // Robustness counters summed over every pass.  The benchmark stream is
   // clean — no deadlines, no overload — so each must stay zero; CI
   // ratchets that with perf_gate --expect-equal.
-  std::uint64_t shed = 0, retries = 0, deadline_errors = 0;
+  std::uint64_t shed = 0, deadline_errors = 0;
   const auto absorb = [&](const svc::ServiceStats& s) {
     shed += s.shed;
-    retries += s.retries;
     deadline_errors += s.deadline_errors;
   };
 
@@ -226,8 +225,6 @@ int main(int argc, char** argv) {
   std::fprintf(f, "  \"byte_identical\": true,\n");
   std::fprintf(f, "  \"shed\": %llu,\n",
                static_cast<unsigned long long>(shed));
-  std::fprintf(f, "  \"retries\": %llu,\n",
-               static_cast<unsigned long long>(retries));
   std::fprintf(f, "  \"deadline_errors\": %llu,\n",
                static_cast<unsigned long long>(deadline_errors));
   std::fprintf(f, "  \"history\": [\n");

@@ -148,8 +148,6 @@ int main(int argc, char** argv) {
           << "  --no-cache     daemon: recompute every cell (no result cache)\n"
           << "  --deadline-ms D  daemon: per-job wall-clock deadline; a job\n"
           << "                 over budget becomes a JobError{kind:deadline}\n"
-          << "  --max-attempts N daemon: attempts per job for transient\n"
-          << "                 failures (default 1 = no retries)\n"
           << "  --max-inflight N daemon: shed jobs above N in flight\n"
           << "                 (JobError{kind:shed}; 0 = never shed)\n";
       return 0;
@@ -174,8 +172,6 @@ int main(int argc, char** argv) {
         opts.workers = workers;
         opts.use_cache = !args.has("no-cache");
         opts.job_deadline_ms = args.get_double_or("deadline-ms", 0.0);
-        opts.max_attempts =
-            static_cast<int>(args.get_int_or("max-attempts", 1));
         opts.max_inflight =
             static_cast<std::uint64_t>(args.get_int_or("max-inflight", 0));
         svc::SweepService service(opts);
@@ -186,9 +182,8 @@ int main(int argc, char** argv) {
                   << stats.intake_misses << " run on intake, "
                   << stats.jobs_per_sec() << " jobs/s ("
                   << service.workers() << " workers)\n";
-        if (stats.shed + stats.retries + stats.deadline_errors > 0)
+        if (stats.shed + stats.deadline_errors > 0)
           std::cerr << "daemon robustness: " << stats.shed << " shed, "
-                    << stats.retries << " retrie(s), "
                     << stats.deadline_errors << " deadline error(s)\n";
       } else {
         stats = svc::SweepService::run_oneshot(*in, std::cout, workers);

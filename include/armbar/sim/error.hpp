@@ -40,8 +40,7 @@ struct CoreDiagnostic {
 /// with suspended threads (kDeadlock), or a watchdog budget was exhausted
 /// (kEventBudget / kTimeBudget — livelocks and runaway episodes;
 /// kWallDeadline — the run blew its real-time deadline.  Unlike the other
-/// kinds, kWallDeadline depends on host load, so job schedulers treat it
-/// as transient and retryable).
+/// kinds, kWallDeadline depends on host load, so it is transient).
 class DeadlockError : public std::runtime_error {
  public:
   enum class Kind : std::uint8_t {
@@ -77,8 +76,8 @@ class DeadlockError : public std::runtime_error {
 
   /// True for kinds that depend on the host rather than the simulation
   /// inputs (currently only kWallDeadline): the same job may well succeed
-  /// on retry, so bounded-retry schedulers re-attempt it; the other kinds
-  /// are deterministic verdicts and are never retried.
+  /// on another run, so the sweep service never caches the verdict; the
+  /// other kinds are deterministic verdicts.
   static bool transient(Kind k) noexcept { return k == Kind::kWallDeadline; }
 
  private:

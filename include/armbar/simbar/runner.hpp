@@ -46,7 +46,7 @@ struct SimRunConfig {
   /// past this simulated time.  0 = unlimited.
   Picos time_budget_ps = 0;
   /// Watchdog: abort with sim::DeadlockError (kind "deadline", the only
-  /// TRANSIENT kind — retryable) once the run has consumed this much REAL
+  /// TRANSIENT kind — never cached) once the run has consumed this much REAL
   /// time.  Cooperative and amortized (Engine::kWallCheckEvents); never
   /// perturbs simulated timestamps of runs that finish.  0 = unlimited.
   double wall_deadline_ms = 0.0;

@@ -14,7 +14,6 @@
 // exception (by job index, not completion order) is rethrown on join.
 
 #include <cstddef>
-#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -46,33 +45,39 @@ struct MeteredRun {
   obs::MetricsReport report;
 };
 
-/// One failed job of an isolated sweep (run_isolated /
-/// run_with_metrics_isolated): which job, what it threw, and — for
-/// watchdog aborts — the per-core diagnostics.  docs/FAULTS.md documents
-/// the JSON rendering (errors_to_json).
+/// A failed simulation, classified: the one error taxonomy the sweep
+/// driver's isolated mode and the sweep service share (docs/FAULTS.md §5).
+struct Failure {
+  /// A sim::DeadlockError kind name ("deadlock" / "event-budget" /
+  /// "time-budget" / "deadline"), "invalid-argument", or "error".
+  std::string kind;
+  std::string message;      ///< exception what()
+  std::string diagnostics;  ///< sim::describe() for watchdog aborts, else ""
+  /// The failure depends on the host, not the inputs (a wall-clock
+  /// deadline, allocation pressure, anything unclassified): the service
+  /// keeps such a verdict out of its cache.
+  bool transient = false;
+};
+
+/// Classify the exception being handled.  Call only inside a catch block.
+Failure classify_current_exception();
+
+/// One failed job of run_with_metrics_isolated: which job, and its
+/// Failure's kind, message and diagnostics.  docs/FAULTS.md documents the
+/// JSON rendering (errors_to_json).
 struct JobError {
   std::size_t job_index = 0;
   /// Job spec snapshot, so a failure is identifiable without the job list.
   std::string machine_name;
   int threads = 0;
-  /// Failure class: a sim::DeadlockError kind name ("deadlock" /
-  /// "event-budget" / "time-budget"), "invalid-argument", or "error".
   std::string kind;
-  std::string message;      ///< exception what()
-  std::string diagnostics;  ///< sim::describe() for watchdog aborts, else ""
-  int attempts = 1;         ///< total tries (1 = no retry)
+  std::string message;
+  std::string diagnostics;
 };
 
 /// Partial results of a fault-isolated sweep: results[i] is engaged iff
 /// jobs[i] succeeded; every failure appears in errors, ascending by
 /// job_index.  Both vectors are identical for any worker count.
-struct SweepOutcome {
-  std::vector<std::optional<SimResult>> results;
-  std::vector<JobError> errors;
-  bool ok() const noexcept { return errors.empty(); }
-};
-
-/// run_with_metrics_isolated's counterpart of SweepOutcome.
 struct MeteredOutcome {
   std::vector<std::optional<MeteredRun>> results;
   std::vector<JobError> errors;
@@ -100,13 +105,6 @@ class SweepDriver {
   /// (no pool, same results).
   std::vector<SimResult> run(const std::vector<SweepJob>& jobs) const;
 
-  /// Convenience: run one simulation per element of @p items, with
-  /// @p make mapping an item index to its job.  Saves callers the
-  /// boilerplate of materializing the job list.
-  std::vector<SimResult> run_indexed(
-      std::size_t count,
-      const std::function<SweepJob(std::size_t)>& make) const;
-
   /// Owning metrics mode: like run(), but the driver attaches one
   /// sim::Tracer per job and returns each job's SimResult together with
   /// its obs::MetricsReport, in job order (same determinism guarantee —
@@ -120,22 +118,13 @@ class SweepDriver {
   std::vector<MeteredRun> run_with_metrics(const std::vector<SweepJob>& jobs,
                                            std::size_t trace_capacity = 0) const;
 
-  /// Fault-isolated run(): a failing job becomes a JobError instead of
-  /// aborting the sweep, and every other job's result is still returned.
-  /// Deterministic failures (sim::DeadlockError, std::invalid_argument,
-  /// std::logic_error — rerunning an identical deterministic simulation
-  /// reproduces them exactly) are never retried; any other exception is
-  /// treated as transient and retried up to @p max_attempts total tries.
-  /// Job-list validation errors (null machine / empty factory) still throw
-  /// before any worker starts, as in run().
-  SweepOutcome run_isolated(const std::vector<SweepJob>& jobs,
-                            int max_attempts = 1) const;
-
-  /// Fault-isolated run_with_metrics(): same isolation and retry policy
-  /// as run_isolated.
+  /// Fault-isolated run_with_metrics(): a failing job becomes a JobError
+  /// (classified by classify_current_exception) instead of aborting the
+  /// sweep, and every other job's result is still returned.  A failed job
+  /// is never retried.  Job-list validation errors (null machine, empty
+  /// factory, a job-owned tracer) still throw before any worker starts.
   MeteredOutcome run_with_metrics_isolated(const std::vector<SweepJob>& jobs,
-                                           std::size_t trace_capacity = 0,
-                                           int max_attempts = 1) const;
+                                           std::size_t trace_capacity = 0) const;
 
  private:
   int workers_;

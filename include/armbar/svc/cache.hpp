@@ -32,12 +32,11 @@ namespace armbar::svc {
 /// run's element of the sweep summary's "rows" array
 /// (obs::append_row_json), and `report` feeds the summary's machine
 /// totals.  `transient` marks a failure that depends on the host rather
-/// than the inputs (wall-clock deadline, allocation pressure): the
-/// service retries those within its attempt budget and never caches
-/// them — only deterministic entries may enter the cache, or the
-/// byte-identity guarantee would break.  `deadline` narrows transient to
-/// the wall-clock-deadline kind (for the service's deadline_errors
-/// counter).
+/// than the inputs (wall-clock deadline, allocation pressure,
+/// simbar::Failure::transient): the service never caches them — only
+/// deterministic entries may enter the cache, or daemon output would
+/// diverge from the one-shot path.  `deadline` narrows transient to the
+/// wall-clock-deadline kind (for the service's deadline_errors counter).
 struct CachedResult {
   bool failed = false;
   bool transient = false;

@@ -23,10 +23,8 @@
 // byte-identity contract exactly):
 //  * per-job wall-clock deadlines  — a runaway simulation aborts with a
 //    structured JobError{kind:"deadline"} record instead of hanging a
-//    worker (job_deadline_ms);
-//  * bounded retry with exponential backoff + full jitter for TRANSIENT
-//    failures only — deterministic verdicts (deadlock, budgets, bad
-//    arguments) are never retried (max_attempts);
+//    worker (job_deadline_ms).  A failed job is never retried, and a
+//    transient verdict (a deadline) never enters the cache;
 //  * explicit load shedding — above max_inflight, intake converts a job
 //    into a JobError{kind:"shed"} record immediately; nothing is ever
 //    silently dropped;
@@ -65,14 +63,9 @@ struct ServiceOptions {
   // -- robustness envelope (docs/SERVICE.md §robustness) -------------------
 
   /// Per-job wall-clock deadline; a job still simulating after this much
-  /// real time aborts with JobError{kind:"deadline"} (transient —
-  /// retried when max_attempts allows).  0 = no deadline.
+  /// real time aborts with JobError{kind:"deadline"} (transient — never
+  /// cached).  0 = no deadline.
   double job_deadline_ms = 0.0;
-  /// Attempts per job for TRANSIENT failures (deadline, allocation
-  /// pressure, unclassified exceptions); deterministic failures are
-  /// never retried.  Backoff between attempts is exponential with full
-  /// jitter.  Must be >= 1; 1 = no retries (the default).
-  int max_attempts = 1;
   /// Load shedding: with more than this many jobs in flight, intake
   /// immediately emits JobError{kind:"shed"} for new jobs instead of
   /// queueing them.  0 = never shed (intake blocks on the reorder
@@ -94,7 +87,6 @@ struct ServiceStats {
   std::uint64_t cache_misses = 0;
   std::uint64_t intake_misses = 0;  ///< misses run on intake, rings full
   std::uint64_t shed = 0;        ///< jobs rejected at intake (kind "shed")
-  std::uint64_t retries = 0;     ///< transient re-attempts inside workers
   std::uint64_t deadline_errors = 0;  ///< jobs whose final record timed out
   double wall_s = 0.0;
   double jobs_per_sec() const noexcept {

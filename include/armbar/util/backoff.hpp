@@ -61,20 +61,4 @@ void spin_until(Pred&& pred, std::uint32_t spin_limit = SpinWait::kDefaultSpinLi
   while (!pred()) w.step();
 }
 
-/// Retry delay with exponential backoff and FULL jitter (AWS-style):
-/// uniform in [0, min(cap, base * 2^(attempt-1))].  Full jitter
-/// decorrelates retry storms — when many workers fail together their
-/// retries spread over the whole window instead of re-colliding at the
-/// deterministic backoff instants.  @p attempt is 1-based (the attempt
-/// that just failed); @p rand01 is a uniform [0, 1) draw supplied by the
-/// caller so the schedule can be seeded deterministically.
-inline double backoff_full_jitter_ms(int attempt, double base_ms,
-                                     double cap_ms, double rand01) noexcept {
-  if (attempt < 1) attempt = 1;
-  double window = base_ms;
-  for (int i = 1; i < attempt && window < cap_ms; ++i) window *= 2.0;
-  if (window > cap_ms) window = cap_ms;
-  return window * rand01;
-}
-
 }  // namespace armbar::util

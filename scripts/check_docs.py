@@ -102,8 +102,7 @@ DOCUMENTED_FLAGS = {
                                "--straggler", "--straggler-dwell",
                                "--link-flap", "--fault-seed", "--jobs",
                                "--daemon", "--workers", "--no-cache",
-                               "--deadline-ms", "--max-attempts",
-                               "--max-inflight",
+                               "--deadline-ms", "--max-inflight",
                                "--heatmap", "--hier-geometry",
                                "--hier-ratios"]),
     "perf_sim": ("bench", ["--breakdown", "--warmup-reps", "--reps",

@@ -1,8 +1,8 @@
 #include "armbar/simbar/sweep.hpp"
 
 #include <atomic>
-#include <chrono>
 #include <exception>
+#include <functional>
 #include <stdexcept>
 #include <thread>
 #include <utility>
@@ -10,17 +10,10 @@
 #include "../obs/json_util.hpp"
 #include "armbar/sim/error.hpp"
 #include "armbar/sim/trace.hpp"
-#include "armbar/util/backoff.hpp"
-#include "armbar/util/prng.hpp"
 
 namespace armbar::simbar {
 
 namespace {
-
-/// Transient-retry pacing (docs/SERVICE.md §retries): first retry waits
-/// uniform [0, 1] ms, doubling the window per attempt up to the cap.
-constexpr double kRetryBaseMs = 1.0;
-constexpr double kRetryCapMs = 50.0;
 
 void validate_jobs(const std::vector<SweepJob>& jobs) {
   for (const SweepJob& j : jobs) {
@@ -63,71 +56,22 @@ void rethrow_first(std::vector<std::exception_ptr>& errors) {
     if (e) std::rethrow_exception(e);
 }
 
-/// Pause before retry @p failed_attempt + 1: exponential backoff with
-/// full jitter, seeded per job so the sleep schedule (like everything
-/// else here) is a pure function of the inputs.  The sleep never touches
-/// simulation state — results stay bit-identical however long we waited.
-void retry_pause(std::size_t job_index, int failed_attempt) {
-  util::Xoshiro256 rng(0x9e3779b97f4a7c15ull ^
-                       (static_cast<std::uint64_t>(job_index) *
-                            std::uint64_t{0x100000001b3} +
-                        static_cast<std::uint64_t>(failed_attempt)));
-  const double ms = util::backoff_full_jitter_ms(
-      failed_attempt, kRetryBaseMs, kRetryCapMs, rng.uniform01());
-  if (ms > 0.0)
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<std::int64_t>(ms * 1000.0)));
-}
+}  // namespace
 
-/// Run one isolated job attempt loop: call @p body until it succeeds, a
-/// deterministic failure is seen, or @p max_attempts tries are spent.
-/// Returns an engaged JobError on failure.  Deterministic failures
-/// (deadlock/budget watchdog aborts, precondition violations) are not
-/// retried — an identical deterministic simulation reproduces them
-/// bit-for-bit — while transient ones (wall-clock "deadline" aborts,
-/// allocation failure under memory pressure, anything unclassified) get
-/// the bounded retry with exponential backoff + full jitter between
-/// attempts.
-template <typename Body>
-std::optional<JobError> attempt_isolated(const SweepJob& job, std::size_t i,
-                                         int max_attempts, Body&& body) {
-  JobError err;
-  err.job_index = i;
-  err.machine_name = job.machine->name();
-  err.threads = job.cfg.threads;
-  for (int attempt = 1;; ++attempt) {
-    err.attempts = attempt;
-    try {
-      body();
-      return std::nullopt;
-    } catch (const sim::DeadlockError& e) {
-      err.kind = sim::DeadlockError::kind_name(e.kind());
-      err.message = e.what();
-      err.diagnostics = sim::describe(e);
-      if (!sim::DeadlockError::transient(e.kind()) || attempt >= max_attempts)
-        return err;
-    } catch (const std::invalid_argument& e) {
-      err.kind = "invalid-argument";
-      err.message = e.what();
-      return err;
-    } catch (const std::logic_error& e) {
-      err.kind = "invalid-argument";
-      err.message = e.what();
-      return err;
-    } catch (const std::exception& e) {
-      err.kind = "error";
-      err.message = e.what();
-      if (attempt >= max_attempts) return err;
-    } catch (...) {
-      err.kind = "error";
-      err.message = "unknown exception";
-      if (attempt >= max_attempts) return err;
-    }
-    retry_pause(i, attempt);
+Failure classify_current_exception() {
+  try {
+    throw;
+  } catch (const sim::DeadlockError& e) {
+    return {sim::DeadlockError::kind_name(e.kind()), e.what(),
+            sim::describe(e), sim::DeadlockError::transient(e.kind())};
+  } catch (const std::logic_error& e) {  // std::invalid_argument included
+    return {"invalid-argument", e.what(), "", false};
+  } catch (const std::exception& e) {
+    return {"error", e.what(), "", true};
+  } catch (...) {
+    return {"error", "unknown exception", "", true};
   }
 }
-
-}  // namespace
 
 std::string errors_to_json(const std::vector<JobError>& errors) {
   namespace d = obs::detail;
@@ -140,7 +84,7 @@ std::string errors_to_json(const std::vector<JobError>& errors) {
        << "\", \"threads\": " << e.threads << ", \"kind\": \""
        << d::escaped(e.kind) << "\", \"message\": \"" << d::escaped(e.message)
        << "\", \"diagnostics\": \"" << d::escaped(e.diagnostics)
-       << "\", \"attempts\": " << e.attempts << "}";
+       << "\"}";
     first = false;
   }
   os << (first ? "]" : "\n]");
@@ -202,49 +146,21 @@ std::vector<MeteredRun> SweepDriver::run_with_metrics(
   return results;
 }
 
-SweepOutcome SweepDriver::run_isolated(const std::vector<SweepJob>& jobs,
-                                       int max_attempts) const {
-  validate_jobs(jobs);
-  if (max_attempts < 1)
-    throw std::invalid_argument(
-        "SweepDriver::run_isolated: max_attempts must be >= 1");
-
-  SweepOutcome out;
-  out.results.resize(jobs.size());
-  std::vector<std::optional<JobError>> errors(jobs.size());
-  run_pool(jobs.size(), workers_, [&](std::size_t i) {
-    errors[i] = attempt_isolated(jobs[i], i, max_attempts, [&] {
-      out.results[i] = measure_barrier(*jobs[i].machine, jobs[i].factory,
-                                       jobs[i].cfg, jobs[i].tracer);
-    });
-    if (errors[i]) out.results[i].reset();
-  });
-  // Assemble the error section by scanning slots in job order after the
-  // pool joins — identical for any worker count or claim interleaving.
-  for (std::optional<JobError>& e : errors)
-    if (e) out.errors.push_back(std::move(*e));
-  return out;
-}
-
 MeteredOutcome SweepDriver::run_with_metrics_isolated(
-    const std::vector<SweepJob>& jobs, std::size_t trace_capacity,
-    int max_attempts) const {
+    const std::vector<SweepJob>& jobs, std::size_t trace_capacity) const {
   validate_jobs(jobs);
-  if (max_attempts < 1)
-    throw std::invalid_argument(
-        "SweepDriver::run_with_metrics_isolated: max_attempts must be >= 1");
   for (const SweepJob& j : jobs)
     if (j.tracer != nullptr)
       throw std::invalid_argument(
           "SweepDriver::run_with_metrics_isolated: the driver owns the "
-          "tracers; jobs must not carry one (use run_isolated() for "
-          "caller-owned tracers)");
+          "tracers; jobs must not carry one (use run() for caller-owned "
+          "tracers)");
 
   MeteredOutcome out;
   out.results.resize(jobs.size());
   std::vector<std::optional<JobError>> errors(jobs.size());
   run_pool(jobs.size(), workers_, [&](std::size_t i) {
-    errors[i] = attempt_isolated(jobs[i], i, max_attempts, [&] {
+    try {
       sim::Tracer tracer(trace_capacity);
       MeteredRun run;
       run.result = measure_barrier(*jobs[i].machine, jobs[i].factory,
@@ -252,21 +168,18 @@ MeteredOutcome SweepDriver::run_with_metrics_isolated(
       run.report =
           obs::make_metrics(*jobs[i].machine, jobs[i].cfg, run.result, tracer);
       out.results[i] = std::move(run);
-    });
-    if (errors[i]) out.results[i].reset();
+    } catch (...) {
+      Failure f = classify_current_exception();
+      errors[i] = JobError{i, jobs[i].machine->name(), jobs[i].cfg.threads,
+                           std::move(f.kind), std::move(f.message),
+                           std::move(f.diagnostics)};
+    }
   });
+  // Assemble the error section by scanning slots in job order after the
+  // pool joins — identical for any worker count or claim interleaving.
   for (std::optional<JobError>& e : errors)
     if (e) out.errors.push_back(std::move(*e));
   return out;
-}
-
-std::vector<SimResult> SweepDriver::run_indexed(
-    std::size_t count,
-    const std::function<SweepJob(std::size_t)>& make) const {
-  std::vector<SweepJob> jobs;
-  jobs.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) jobs.push_back(make(i));
-  return run(jobs);
 }
 
 }  // namespace armbar::simbar

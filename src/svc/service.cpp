@@ -29,16 +29,10 @@
 #include "armbar/topo/placement.hpp"
 #include "armbar/topo/platforms.hpp"
 #include "armbar/util/backoff.hpp"
-#include "armbar/util/prng.hpp"
 
 namespace armbar::svc {
 
 namespace {
-
-/// Transient-retry pacing, matching the sweep driver's schedule
-/// (docs/SERVICE.md §retries).
-constexpr double kRetryBaseMs = 1.0;
-constexpr double kRetryCapMs = 50.0;
 
 /// Polls of its own drain intake makes before it sleeps on a full
 /// reorder window or an unfinished batch.
@@ -99,38 +93,22 @@ void emit_line(std::ostream& out, std::string& buf, std::uint64_t seq,
   out.write(buf.data(), static_cast<std::streamsize>(buf.size()));
 }
 
-/// Run @p fn under the sweep layer's error taxonomy: on failure, @p out
-/// becomes an error entry whose kind/message/diagnostics match what
-/// SweepDriver::run_*_isolated reports for the same exception (so the
-/// daemon and the driver-based one-shot path classify identically).
-/// The transient/deadline flags mirror the driver's retry policy:
-/// wall-deadline aborts and unclassified exceptions are host state and
-/// may be retried, deterministic verdicts never are.
+/// Run @p fn; on failure, @p out becomes an error entry classified by
+/// simbar::classify_current_exception, the taxonomy SweepDriver's
+/// isolated mode uses, so the daemon and the driver-based one-shot path
+/// classify identically.
 template <typename Fn>
 bool classify_into(CachedResult& out, Fn&& fn) {
   try {
     fn();
     return true;
-  } catch (const sim::DeadlockError& e) {
-    out.failed = true;
-    out.transient = sim::DeadlockError::transient(e.kind());
-    out.deadline = e.kind() == sim::DeadlockError::Kind::kWallDeadline;
-    out.tail = render_error_tail(sim::DeadlockError::kind_name(e.kind()),
-                                 e.what(), sim::describe(e));
-  } catch (const std::invalid_argument& e) {
-    out.failed = true;
-    out.tail = render_error_tail("invalid-argument", e.what(), "");
-  } catch (const std::logic_error& e) {
-    out.failed = true;
-    out.tail = render_error_tail("invalid-argument", e.what(), "");
-  } catch (const std::exception& e) {
-    out.failed = true;
-    out.transient = true;
-    out.tail = render_error_tail("error", e.what(), "");
   } catch (...) {
+    const simbar::Failure f = simbar::classify_current_exception();
     out.failed = true;
-    out.transient = true;
-    out.tail = render_error_tail("error", "unknown exception", "");
+    out.transient = f.transient;
+    out.deadline = f.kind == sim::DeadlockError::kind_name(
+                                 sim::DeadlockError::Kind::kWallDeadline);
+    out.tail = render_error_tail(f.kind, f.message, f.diagnostics);
   }
   return false;
 }
@@ -214,20 +192,6 @@ std::shared_ptr<CachedResult> compute_cell(const JobSpec& spec,
   return entry;
 }
 
-/// Pause before retrying @p seq after @p failed_attempt: exponential
-/// backoff with full jitter, seeded per (job, attempt) like the sweep
-/// driver's retry_pause so the schedule is reproducible.
-void retry_pause(std::uint64_t seq, int failed_attempt) {
-  util::Xoshiro256 rng(0x9e3779b97f4a7c15ull ^
-                       (seq * std::uint64_t{0x100000001b3} +
-                        static_cast<std::uint64_t>(failed_attempt)));
-  const double ms = util::backoff_full_jitter_ms(
-      failed_attempt, kRetryBaseMs, kRetryCapMs, rng.uniform01());
-  if (ms > 0.0)
-    std::this_thread::sleep_for(
-        std::chrono::microseconds(static_cast<std::int64_t>(ms * 1000.0)));
-}
-
 /// Bounded line reader.  Reads up to the next '\n' or EOF; characters
 /// beyond @p max_bytes are swallowed (the stream stays line-synced) and
 /// the line is reported kOversized with only the prefix kept — enough to
@@ -282,7 +246,6 @@ struct SweepService::Impl {
   /// A cache miss, parsed and keyed by intake.
   struct Request {
     std::uint64_t seq = 0;  ///< reorder-window sequence, never reused
-    std::uint64_t job = 0;  ///< index within the current serve() batch
     JobSpec spec;
     std::string key;
   };
@@ -323,8 +286,6 @@ struct SweepService::Impl {
                      : static_cast<int>(std::max(
                            1u, std::thread::hardware_concurrency()))),
         cache(o.cache_shards) {
-    if (opts.max_attempts < 1)
-      throw std::invalid_argument("ServiceOptions: max_attempts must be >= 1");
     if (!(opts.job_deadline_ms >= 0.0))
       throw std::invalid_argument(
           "ServiceOptions: job_deadline_ms must be >= 0");
@@ -398,20 +359,13 @@ struct SweepService::Impl {
     if (w.parked.load(std::memory_order_relaxed)) w.wake();
   }
 
-  /// Compute a miss (with transient retries), cache it, and publish it.
+  /// Compute a miss, cache it, and publish it.
   /// Workers run every miss this way, and so does intake with a miss no
   /// ring has room for (serve()); intake is never blocked then, so it
   /// skips the drain below and drains on its return.
   void process(const Request& req) {
-    std::shared_ptr<CachedResult> computed;
-    for (int attempt = 1;; ++attempt) {
-      computed = compute_cell(req.spec, registry, opts.job_deadline_ms);
-      if (!(computed->failed && computed->transient) ||
-          attempt >= opts.max_attempts)
-        break;
-      retries.fetch_add(1, std::memory_order_relaxed);
-      retry_pause(req.job, attempt);
-    }
+    std::shared_ptr<CachedResult> computed =
+        compute_cell(req.spec, registry, opts.job_deadline_ms);
     if (computed->failed && computed->deadline)
       deadline_errors.fetch_add(1, std::memory_order_relaxed);
     // Transient verdicts are host state, not cell state: caching one
@@ -553,7 +507,6 @@ struct SweepService::Impl {
   std::vector<std::unique_ptr<Worker>> workers;
   std::atomic<bool> stop{false};
   std::atomic<bool> stop_requested{false};
-  std::atomic<std::uint64_t> retries{0};
   std::atomic<std::uint64_t> deadline_errors{0};
 
   /// Next seq to emit; advanced only by the `draining` holder.  A waiting
@@ -600,7 +553,6 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   const auto t0 = std::chrono::steady_clock::now();
   const std::uint64_t hits0 = impl.cache.hits();
   const std::uint64_t misses0 = impl.cache.misses();
-  const std::uint64_t retries0 = impl.retries.load(std::memory_order_relaxed);
   const std::uint64_t deadline0 =
       impl.deadline_errors.load(std::memory_order_relaxed);
   const std::size_t window = impl.slots.size();
@@ -710,8 +662,8 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
     // A miss goes to the first ring with room, from the round-robin
     // cursor on.  With every ring full, intake runs it itself: a deeper
     // queue would only add wait, and intake would otherwise sit idle.
-    auto req = std::make_unique<Impl::Request>(Impl::Request{
-        submitted, submitted - base, std::move(spec), std::move(key)});
+    auto req = std::make_unique<Impl::Request>(
+        Impl::Request{submitted, std::move(spec), std::move(key)});
     const std::size_t first = misses++ % uworkers;
     bool queued = false;
     for (std::size_t i = 0; i < uworkers && !queued; ++i) {
@@ -734,7 +686,6 @@ ServiceStats SweepService::serve(std::istream& in, std::ostream& out) {
   stats.failed = impl.close_batch();
   stats.cache_hits = impl.cache.hits() - hits0;
   stats.cache_misses = impl.cache.misses() - misses0;
-  stats.retries = impl.retries.load(std::memory_order_relaxed) - retries0;
   stats.deadline_errors =
       impl.deadline_errors.load(std::memory_order_relaxed) - deadline0;
   stats.wall_s = std::chrono::duration<double>(
@@ -810,8 +761,7 @@ ServiceStats SweepService::run_oneshot(std::istream& in, std::ostream& out,
 
   const simbar::SweepDriver driver(workers);
   const simbar::MeteredOutcome outcome =
-      driver.run_with_metrics_isolated(jobs, /*trace_capacity=*/0,
-                                       /*max_attempts=*/1);
+      driver.run_with_metrics_isolated(jobs);
   // JobErrors arrive ascending by job index; walk them with a cursor.
   std::size_t err_cursor = 0;
 

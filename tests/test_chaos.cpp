@@ -127,7 +127,6 @@ TEST(ChaosService, DeadlineAbortsRunawayJobWithStructuredRecord) {
   svc::ServiceOptions opts;
   opts.workers = 1;
   opts.job_deadline_ms = 0.001;
-  opts.max_attempts = 2;  // deadline is transient: one retry, then report
 
   std::istringstream in(jobs);
   std::ostringstream out;
@@ -139,8 +138,29 @@ TEST(ChaosService, DeadlineAbortsRunawayJobWithStructuredRecord) {
   EXPECT_NE(lines[0].find("\"kind\": \"deadline\""), std::string::npos)
       << lines[0];
   EXPECT_EQ(stats.deadline_errors, 1u);
-  EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.failed, 1u);
+}
+
+TEST(ChaosService, DeadlineVerdictNeverEntersTheCache) {
+  // A deadline depends on the host, not the cell: serving the same
+  // runaway cell again must simulate it again, never replay a cached
+  // verdict, or daemon bytes would diverge from the one-shot path.
+  const std::string jobs = kSlowCell + "\n";
+  svc::ServiceOptions opts;
+  opts.workers = 1;
+  opts.job_deadline_ms = 0.001;
+  svc::SweepService service(opts);
+  for (int pass = 0; pass < 2; ++pass) {
+    std::istringstream in(jobs);
+    std::ostringstream out;
+    const auto stats = service.serve(in, out);
+    const auto lines = job_lines(out.str());
+    ASSERT_EQ(lines.size(), 1u) << "pass " << pass;
+    EXPECT_TRUE(has_kind(lines[0], "deadline")) << lines[0];
+    EXPECT_EQ(stats.cache_hits, 0u) << "pass " << pass;
+    EXPECT_EQ(stats.deadline_errors, 1u) << "pass " << pass;
+    EXPECT_EQ(service.cache().size(), 0u) << "pass " << pass;
+  }
 }
 
 // -- load shedding ----------------------------------------------------------

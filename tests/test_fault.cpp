@@ -4,11 +4,11 @@
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -482,7 +482,7 @@ TEST(SweepIsolation, FaultyJobBecomesJobErrorOthersSucceed) {
 
   for (const int workers : {1, 4}) {
     const simbar::SweepDriver driver(workers);
-    const auto outcome = driver.run_isolated(jobs);
+    const auto outcome = driver.run_with_metrics_isolated(jobs);
     EXPECT_FALSE(outcome.ok());
     ASSERT_EQ(outcome.results.size(), 5u);
     ASSERT_EQ(outcome.errors.size(), 1u);
@@ -491,16 +491,14 @@ TEST(SweepIsolation, FaultyJobBecomesJobErrorOthersSucceed) {
     EXPECT_EQ(err.kind, "deadlock");
     EXPECT_EQ(err.machine_name, machine.name());
     EXPECT_EQ(err.threads, 4);
-    EXPECT_EQ(err.attempts, 1);  // deterministic failures are not retried
     EXPECT_NE(err.diagnostics.find("stuck"), std::string::npos);
     for (int i = 0; i < 5; ++i) {
+      const auto& run = outcome.results[static_cast<std::size_t>(i)];
       if (i == 2) {
-        EXPECT_FALSE(outcome.results[static_cast<std::size_t>(i)].has_value());
+        EXPECT_FALSE(run.has_value());
       } else {
-        ASSERT_TRUE(outcome.results[static_cast<std::size_t>(i)].has_value());
-        EXPECT_GT(
-            outcome.results[static_cast<std::size_t>(i)]->mean_overhead_ns,
-            0.0);
+        ASSERT_TRUE(run.has_value());
+        EXPECT_GT(run->result.mean_overhead_ns, 0.0);
       }
     }
   }
@@ -513,8 +511,8 @@ TEST(SweepIsolation, ResultsIdenticalAcrossWorkerCounts) {
     jobs.push_back(simbar::SweepJob{
         &machine, i % 3 == 1 ? stuck_factory() : dis_factory(),
         small_cfg(2 + i)});
-  const auto a = simbar::SweepDriver(1).run_isolated(jobs);
-  const auto b = simbar::SweepDriver(4).run_isolated(jobs);
+  const auto a = simbar::SweepDriver(1).run_with_metrics_isolated(jobs);
+  const auto b = simbar::SweepDriver(4).run_with_metrics_isolated(jobs);
   ASSERT_EQ(a.errors.size(), b.errors.size());
   for (std::size_t i = 0; i < a.errors.size(); ++i) {
     EXPECT_EQ(a.errors[i].job_index, b.errors[i].job_index);
@@ -526,48 +524,77 @@ TEST(SweepIsolation, ResultsIdenticalAcrossWorkerCounts) {
   for (std::size_t i = 0; i < a.results.size(); ++i) {
     ASSERT_EQ(a.results[i].has_value(), b.results[i].has_value());
     if (a.results[i])
-      EXPECT_EQ(a.results[i]->per_episode_ns, b.results[i]->per_episode_ns);
+      EXPECT_EQ(a.results[i]->result.per_episode_ns,
+                b.results[i]->result.per_episode_ns);
   }
   EXPECT_EQ(simbar::errors_to_json(a.errors),
             simbar::errors_to_json(b.errors));
 }
 
-TEST(SweepIsolation, InvalidConfigClassifiedNotRetried) {
+TEST(SweepIsolation, InvalidConfigClassified) {
   const auto machine = topo::kunpeng920();
   simbar::SimRunConfig cfg = small_cfg(4);
   cfg.threads = machine.num_cores() + 1;  // measure_barrier rejects this
-  const auto outcome = simbar::SweepDriver(1).run_isolated(
-      {simbar::SweepJob{&machine, dis_factory(), cfg}}, /*max_attempts=*/3);
+  const auto outcome = simbar::SweepDriver(1).run_with_metrics_isolated(
+      {simbar::SweepJob{&machine, dis_factory(), cfg}});
   ASSERT_EQ(outcome.errors.size(), 1u);
   EXPECT_EQ(outcome.errors[0].kind, "invalid-argument");
-  EXPECT_EQ(outcome.errors[0].attempts, 1);
 }
 
-TEST(SweepIsolation, TransientFailureRetriedWithinBudget) {
-  const auto machine = topo::kunpeng920();
-  auto failures_left = std::make_shared<std::atomic<int>>(2);
-  simbar::SimBarrierFactory flaky = [failures_left](sim::Engine& e,
-                                                    sim::MemSystem& m,
-                                                    int threads) {
-    if (failures_left->fetch_sub(1) > 0)
-      throw std::runtime_error("transient failure");
-    return dis_factory()(e, m, threads);
-  };
-  // Two failures, three attempts allowed: the job must succeed.
-  auto outcome = simbar::SweepDriver(1).run_isolated(
-      {simbar::SweepJob{&machine, flaky, small_cfg(4)}}, /*max_attempts=*/3);
-  EXPECT_TRUE(outcome.ok());
-  ASSERT_TRUE(outcome.results[0].has_value());
+/// Throw @p thrown and classify it as the driver and the service do.
+template <typename E>
+simbar::Failure classify_thrown(const E& thrown) {
+  try {
+    throw thrown;
+  } catch (...) {
+    return simbar::classify_current_exception();
+  }
+}
 
-  // Two failures, two attempts: bounded retry gives up and reports both
-  // tries.
-  failures_left->store(2);
-  outcome = simbar::SweepDriver(1).run_isolated(
-      {simbar::SweepJob{&machine, flaky, small_cfg(4)}}, /*max_attempts=*/2);
-  ASSERT_EQ(outcome.errors.size(), 1u);
-  EXPECT_EQ(outcome.errors[0].kind, "error");
-  EXPECT_EQ(outcome.errors[0].attempts, 2);
-  EXPECT_EQ(outcome.errors[0].message, "transient failure");
+// The one error taxonomy: every thrown type the driver and the service
+// can see, and its kind, message, diagnostics and transient flag.
+TEST(SweepIsolation, ClassifyCurrentExceptionTable) {
+  using Kind = sim::DeadlockError::Kind;
+  const struct {
+    Kind kind;
+    const char* name;
+    bool transient;
+  } watchdog[] = {{Kind::kDeadlock, "deadlock", false},
+                  {Kind::kEventBudget, "event-budget", false},
+                  {Kind::kTimeBudget, "time-budget", false},
+                  {Kind::kWallDeadline, "deadline", true}};
+  for (const auto& w : watchdog) {
+    sim::CoreDiagnostic core;
+    core.core = 3;
+    const sim::DeadlockError e(w.kind, "watchdog tripped", 1000, 42, {core});
+    const simbar::Failure f = classify_thrown(e);
+    EXPECT_EQ(f.kind, w.name);
+    EXPECT_EQ(f.message, "watchdog tripped");
+    EXPECT_EQ(f.diagnostics, sim::describe(e));
+    EXPECT_NE(f.diagnostics.find("core 3: stuck"), std::string::npos);
+    EXPECT_EQ(f.transient, w.transient) << w.name;
+  }
+
+  const struct {
+    simbar::Failure got;
+    const char* kind;
+    const char* message;
+    bool transient;
+  } others[] = {
+      {classify_thrown(std::invalid_argument("bad arg")), "invalid-argument",
+       "bad arg", false},
+      {classify_thrown(std::logic_error("bad logic")), "invalid-argument",
+       "bad logic", false},
+      {classify_thrown(std::runtime_error("host trouble")), "error",
+       "host trouble", true},
+      {classify_thrown(42), "error", "unknown exception", true},
+  };
+  for (const auto& o : others) {
+    EXPECT_EQ(o.got.kind, o.kind) << o.message;
+    EXPECT_EQ(o.got.message, o.message);
+    EXPECT_EQ(o.got.diagnostics, "") << o.message;
+    EXPECT_EQ(o.got.transient, o.transient) << o.message;
+  }
 }
 
 TEST(SweepIsolation, MeteredVariantIsolatesAndMeters) {
@@ -594,13 +621,8 @@ TEST(SweepIsolation, MeteredVariantIsolatesAndMeters) {
 
 TEST(SweepIsolation, ValidationStillThrowsBeforeWorkersStart) {
   EXPECT_THROW(
-      simbar::SweepDriver(1).run_isolated({simbar::SweepJob{}}),
+      simbar::SweepDriver(1).run_with_metrics_isolated({simbar::SweepJob{}}),
       std::invalid_argument);
-  const auto machine = topo::kunpeng920();
-  EXPECT_THROW(simbar::SweepDriver(1).run_isolated(
-                   {simbar::SweepJob{&machine, dis_factory(), small_cfg(2)}},
-                   /*max_attempts=*/0),
-               std::invalid_argument);
 }
 
 TEST(SweepIsolation, ErrorsToJsonShapeAndEscaping) {
@@ -612,13 +634,11 @@ TEST(SweepIsolation, ErrorsToJsonShapeAndEscaping) {
   err.kind = "deadlock";
   err.message = "line1\nline2";
   err.diagnostics = "core 1:\tstuck";
-  err.attempts = 2;
   const std::string json = simbar::errors_to_json({err});
   EXPECT_NE(json.find("\"job_index\": 3"), std::string::npos);
   EXPECT_NE(json.find("\"machine\": \"m\\\"x\""), std::string::npos);
   EXPECT_NE(json.find("line1\\nline2"), std::string::npos);
   EXPECT_NE(json.find("core 1:\\tstuck"), std::string::npos);
-  EXPECT_NE(json.find("\"attempts\": 2"), std::string::npos);
 }
 
 }  // namespace

@@ -86,18 +86,6 @@ TEST(SweepDriver, WorkerCountDoesNotChangeResults) {
   }
 }
 
-TEST(SweepDriver, RunIndexedMatchesRun) {
-  const auto m = topo::kunpeng920();
-  const auto jobs = sample_jobs(m);
-  const SweepDriver driver(4);
-  const auto direct = driver.run(jobs);
-  const auto indexed = driver.run_indexed(
-      jobs.size(), [&](std::size_t i) { return jobs[i]; });
-  ASSERT_EQ(indexed.size(), direct.size());
-  for (std::size_t i = 0; i < direct.size(); ++i)
-    expect_identical(indexed[i], direct[i]);
-}
-
 TEST(SweepDriver, RejectsNullMachineAndEmptyFactory) {
   const auto m = topo::phytium2000();
   const SweepDriver driver(2);
