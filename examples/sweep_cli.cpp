@@ -15,6 +15,7 @@
 #include <fstream>
 #include <iostream>
 #include <sstream>
+#include <string_view>
 
 #include "armbar/fault/plan.hpp"
 #include "armbar/obs/aggregate.hpp"
@@ -32,6 +33,16 @@
 #include "armbar/util/table.hpp"
 
 namespace {
+
+/// Every flag sweep_cli reads; any other one is an error.
+constexpr std::string_view kFlags[] = {
+    "algo",            "autotune",        "burst",           "csv",
+    "daemon",          "deadline-ms",     "fault-seed",      "heatmap",
+    "help",            "hier-geometry",   "hier-ratios",     "hot-lines",
+    "iterations",      "jobs",            "link-flap",       "machine",
+    "machine-file",    "max-inflight",    "metrics",         "no-cache",
+    "noise",           "placement",       "prune",           "straggler",
+    "straggler-dwell", "threads",         "trace",           "workers"};
 
 std::vector<int> parse_thread_list(const std::string& spec, int max_cores) {
   std::vector<int> out;
@@ -92,6 +103,7 @@ int main(int argc, char** argv) {
   using namespace armbar;
   try {
     const util::Args args(argc, argv);
+    args.reject_unknown(kFlags);
     if (args.has("help")) {
       std::cout
           << "usage: " << args.program() << " [options]\n"

@@ -46,11 +46,15 @@ struct JobSpec {
 ///   link_flap_interval_us, link_flap_duration_us, fault_seed
 JobSpec parse_job_line(const std::string& line);
 
-/// Canonical result-cache key of a job: every field that determines the
-/// simulation's output, rendered in a fixed order with locale-independent
-/// number formatting.  Two specs map to the same key iff the simulator is
-/// guaranteed to produce identical results for them (see docs/SERVICE.md
-/// §4 for the invalidation rules tied to kCacheSchemaVersion).
+/// Canonical result-cache key of a job: "v<kCacheSchemaVersion>|", then
+/// the raw bytes of every field that determines the simulation's output,
+/// in a fixed order: each name as a uint32 length and its bytes, the ints,
+/// each double's bit pattern and the fault seed, in host byte order (keys
+/// never leave the process).  Two specs map to the same key iff they are
+/// equal field by field, doubles by bit pattern and warmup by its
+/// effective value, which is when the simulator is guaranteed to produce
+/// identical results for them (see docs/SERVICE.md §4 for the layout and
+/// the invalidation rules tied to kCacheSchemaVersion).
 std::string cache_key(const JobSpec& spec);
 
 /// Bumped whenever the simulator's cost model or the result-line schema

@@ -7,7 +7,9 @@
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace armbar::util {
@@ -32,6 +34,11 @@ class Args {
   /// string options like a bare "--trace" legitimately default their value.)
   long get_int_or(const std::string& name, long fallback) const;
   double get_double_or(const std::string& name, double fallback) const;
+
+  /// Throws std::invalid_argument("unknown option --x") for the first
+  /// option, in name order, that @p known does not list, so a misspelled
+  /// or removed flag fails instead of running with defaults.
+  void reject_unknown(std::span<const std::string_view> known) const;
 
   /// Positional (non-option) arguments in order.
   const std::vector<std::string>& positional() const { return positional_; }

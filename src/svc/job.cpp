@@ -3,6 +3,8 @@
 #include <cctype>
 #include <charconv>
 #include <cmath>
+#include <cstdint>
+#include <cstring>
 #include <limits>
 #include <stdexcept>
 #include <string>
@@ -211,22 +213,41 @@ int require_int(std::string_view key, double v, long lo, long hi) {
   return static_cast<int>(v);
 }
 
-/// Append a number to a cache key.  std::to_chars ignores the locale,
-/// and for a double it writes the shortest text that reads back to the
-/// same value, so two doubles render alike only when they are identical.
-template <typename T>
-void append_num(std::string& key, T v) {
-  char buf[32];
-  key.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
-}
+/// Writes a cache key's fields as raw bytes into a key sized in advance.
+class KeyWriter {
+ public:
+  explicit KeyWriter(std::string& key) : p_(key.data()) {}
 
-/// Append a name with its length first, so no name can borrow the
-/// separators of the fields after it.
-void append_str(std::string& key, const std::string& s) {
-  append_num(key, s.size());
-  key += ':';
-  key += s;
-}
+  void bytes(const char* data, std::size_t n) {
+    std::memcpy(p_, data, n);
+    p_ += n;
+  }
+
+  template <typename T>
+  void raw(const T& v) {
+    bytes(reinterpret_cast<const char*>(&v), sizeof v);
+  }
+
+  /// A name with its length first, so no name can borrow the bytes of
+  /// the fields after it.  A length that does not fit below the uint32
+  /// maximum is written as that maximum and then in full as a uint64.
+  void name(const std::string& s) {
+    const bool long_name = s.size() >= kLongName;
+    raw(long_name ? kLongName : static_cast<std::uint32_t>(s.size()));
+    if (long_name) raw(static_cast<std::uint64_t>(s.size()));
+    bytes(s.data(), s.size());
+  }
+
+  /// Bytes name(@p s) writes.
+  static std::size_t name_size(const std::string& s) {
+    return sizeof(std::uint32_t) +
+           (s.size() >= kLongName ? sizeof(std::uint64_t) : 0) + s.size();
+  }
+
+ private:
+  static constexpr std::uint32_t kLongName = 0xffffffff;
+  char* p_;
+};
 
 }  // namespace
 
@@ -290,48 +311,43 @@ JobSpec parse_job_line(const std::string& line) {
 
 std::string cache_key(const JobSpec& spec) {
   // Fixed field order, every field always present, names length-prefixed:
-  // distinct specs give distinct keys.
+  // distinct specs give distinct keys.  Doubles go in as their bit
+  // patterns, so two are equal exactly when they are the same double.
+  char prefix[16] = {'v'};
+  char* prefix_end =
+      std::to_chars(prefix + 1, prefix + sizeof prefix - 1, kCacheSchemaVersion)
+          .ptr;
+  *prefix_end++ = '|';
+  const auto prefix_size = static_cast<std::size_t>(prefix_end - prefix);
   const fault::FaultSpec& f = spec.fault;
-  std::string key;
-  key.reserve(160);
-  key += 'v';
-  append_num(key, kCacheSchemaVersion);
-  key += "|m=";
-  append_str(key, spec.machine);
-  key += "|a=";
-  append_str(key, spec.algo);
-  key += "|t=";
-  append_num(key, spec.threads);
-  key += "|i=";
-  append_num(key, spec.iterations);
-  key += "|w=";
-  append_num(key, spec.effective_warmup());
-  key += "|p=";
-  append_str(key, spec.placement);
-  key += "|np=";
-  append_num(key, f.noise.period_us);
-  key += "|nd=";
-  append_num(key, f.noise.duration_us);
-  key += "|bi=";
-  append_num(key, f.burst.interval_us);
-  key += "|bd=";
-  append_num(key, f.burst.duration_us);
-  key += "|sf=";
-  append_num(key, f.straggler.fraction);
-  key += "|ss=";
-  append_num(key, f.straggler.slowdown);
-  key += "|sd=";
-  append_num(key, f.straggler.dwell_us);
-  key += "|ll=";
-  append_num(key, f.link.min_layer);
-  key += "|lf=";
-  append_num(key, f.link.factor);
-  key += "|fi=";
-  append_num(key, f.link.flap_interval_us);
-  key += "|fd=";
-  append_num(key, f.link.flap_duration_us);
-  key += "|fs=";
-  append_num(key, f.seed);
+  constexpr std::size_t kFields =
+      sizeof spec.threads + sizeof spec.iterations +
+      sizeof spec.effective_warmup() + sizeof f.link.min_layer +
+      10 * sizeof(double) + sizeof f.seed;
+  std::string key(prefix_size + kFields + KeyWriter::name_size(spec.machine) +
+                      KeyWriter::name_size(spec.algo) +
+                      KeyWriter::name_size(spec.placement),
+                  '\0');
+  KeyWriter w(key);
+  w.bytes(prefix, prefix_size);
+  w.name(spec.machine);
+  w.name(spec.algo);
+  w.raw(spec.threads);
+  w.raw(spec.iterations);
+  w.raw(spec.effective_warmup());
+  w.name(spec.placement);
+  w.raw(f.noise.period_us);
+  w.raw(f.noise.duration_us);
+  w.raw(f.burst.interval_us);
+  w.raw(f.burst.duration_us);
+  w.raw(f.straggler.fraction);
+  w.raw(f.straggler.slowdown);
+  w.raw(f.straggler.dwell_us);
+  w.raw(f.link.min_layer);
+  w.raw(f.link.factor);
+  w.raw(f.link.flap_interval_us);
+  w.raw(f.link.flap_duration_us);
+  w.raw(f.seed);
   return key;
 }
 

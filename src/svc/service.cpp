@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <deque>
 #include <istream>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -197,29 +198,52 @@ std::shared_ptr<CachedResult> compute_cell(const JobSpec& spec,
 /// the line is reported kOversized with only the prefix kept — enough to
 /// tell a comment from a job.  EOF with no characters read is kEof; EOF
 /// mid-line yields the partial line exactly once, like std::getline.
+/// A stream error ends the input like EOF.
 enum class LineStatus { kEof, kLine, kOversized };
 
+/// Characters one getline call may store.  A job line is a few hundred
+/// bytes; a longer one takes more calls, and never more than max_bytes of
+/// memory.
+constexpr std::size_t kLineChunk = 256;
+
+/// Copies the line out of the stream buffer's get area in bulk, with the
+/// length from gcount(), so an embedded NUL stays in the line.
 LineStatus read_job_line(std::istream& in, std::string& line,
                          std::size_t max_bytes) {
   line.clear();
-  std::streambuf* sb = in.rdbuf();
-  if (sb == nullptr || !in.good()) return LineStatus::kEof;
-  bool any = false;
-  bool oversized = false;
+  if (!in.good()) return LineStatus::kEof;
+  // getline's sentry would flush in.tie() on every line.  std::cin is
+  // tied to std::cout, so `sweep_cli --daemon` would write ~4x as often;
+  // serve() flushes when a flush is due, so the tie is lifted while
+  // reading.
+  struct Untie {
+    std::istream& in;
+    std::ostream* tie = in.tie(nullptr);
+    ~Untie() { in.tie(tie); }
+  } untie{in};
   for (;;) {
-    const int ch = sb->sbumpc();
-    if (ch == std::char_traits<char>::eof()) {
-      in.setstate(std::ios::eofbit);
-      if (!any) return LineStatus::kEof;
-      return oversized ? LineStatus::kOversized : LineStatus::kLine;
+    const std::size_t have = line.size();
+    const std::size_t room = std::min(kLineChunk, max_bytes - have);
+    // Stores up to `room` characters and a NUL and extracts the '\n'
+    // after them; with `room` stored and more to come, it sets failbit.
+    line.resize(have + room + 1);
+    in.getline(line.data() + have, static_cast<std::streamsize>(room + 1));
+    const auto got = static_cast<std::size_t>(in.gcount());
+    if (in.eof() || in.bad()) {
+      line.resize(have + got);
+      in.clear(in.rdstate() & ~std::ios::failbit);
+      return line.empty() ? LineStatus::kEof : LineStatus::kLine;
     }
-    any = true;
-    if (ch == '\n')
-      return oversized ? LineStatus::kOversized : LineStatus::kLine;
-    if (line.size() < max_bytes)
-      line.push_back(static_cast<char>(ch));
-    else
-      oversized = true;
+    if (!in.fail()) {  // the '\n' was read, and counted in gcount
+      line.resize(have + got - 1);
+      return LineStatus::kLine;
+    }
+    line.resize(have + got);
+    in.clear();
+    if (line.size() == max_bytes) {
+      in.ignore(std::numeric_limits<std::streamsize>::max(), '\n');
+      return LineStatus::kOversized;
+    }
   }
 }
 

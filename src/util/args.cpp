@@ -1,5 +1,6 @@
 #include "armbar/util/args.hpp"
 
+#include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
 
@@ -33,6 +34,12 @@ Args::Args(int argc, const char* const* argv) {
 
 bool Args::has(const std::string& name) const {
   return options_.count(name) != 0;
+}
+
+void Args::reject_unknown(std::span<const std::string_view> known) const {
+  for (const auto& option : options_)
+    if (std::find(known.begin(), known.end(), option.first) == known.end())
+      throw std::invalid_argument("unknown option --" + option.first);
 }
 
 std::optional<std::string> Args::get(const std::string& name) const {

@@ -334,9 +334,13 @@ bool same_spec(const svc::JobSpec& a, const svc::JobSpec& b) {
 }
 
 TEST(CacheKey, EqualExactlyWhenSpecsAreEqual) {
-  // Small domains so equal specs come up often; names mix in the key's
-  // own separators, and doubles include neighbours one ulp apart.
-  const std::vector<std::string> names = {"", "a", "|", "a|", "1:a", "=a|"};
+  // Small domains so equal specs come up often; names mix in separator
+  // characters, an embedded NUL, and bytes that read as the key's uint32
+  // length prefix followed by a name; doubles include neighbours one ulp
+  // apart.
+  const std::vector<std::string> names = {
+      "",  "a",   "|",   "a|", "1:a", "=a|", std::string("a\0b", 3),
+      std::string("\x01\0\0\0a", 5)};
   const std::vector<double> reals = {
       0.0, -0.0, 1.0, std::nextafter(1.0, 2.0), 0.1,
       std::nextafter(0.1, 0.0), 1e300, 5e-324};
@@ -386,6 +390,21 @@ TEST(CacheKey, NamesCannotBorrowSeparators) {
   b.machine = "x";
   b.algo = "y|a=z";
   EXPECT_NE(svc::cache_key(a), svc::cache_key(b));
+  // Nor the bytes of the key's own length prefixes: four NULs read as a
+  // zero length, and "\x01\0\0\0a" as the encoding of "a".
+  const std::string zeros(4, '\0');
+  const std::string looks_like_a("\x01\0\0\0a", 5);
+  for (const auto& [m1, a1, m2, a2] :
+       std::vector<std::array<std::string, 4>>{
+           {zeros, "", "", zeros},
+           {looks_like_a, "", "", looks_like_a},
+           {"a", looks_like_a, looks_like_a, "a"}}) {
+    a.machine = m1;
+    a.algo = a1;
+    b.machine = m2;
+    b.algo = a2;
+    EXPECT_NE(svc::cache_key(a), svc::cache_key(b));
+  }
 }
 
 // -- ResultCache ------------------------------------------------------------
@@ -690,6 +709,72 @@ TEST(ServiceIntake, OneshotBoundsLinesToo) {
   EXPECT_EQ(daemon_output(jobs, opts), reference);
 }
 
+/// One letter per job record of @p output, in order: R for a result,
+/// E for an error.
+std::string record_kinds(const std::string& output) {
+  std::string kinds;
+  std::istringstream lines(output);
+  std::string line;
+  while (std::getline(lines, line))
+    if (line.rfind("{\"job\": ", 0) == 0)
+      kinds += line.find(", \"error\": {") != std::string::npos ? 'E' : 'R';
+  return kinds;
+}
+
+TEST(ServiceIntake, LineBoundariesMatchOneshot) {
+  // Both paths read lines with the same bound (the default one), so each
+  // stream's records must match one-shot's byte for byte and be of the
+  // kinds listed: a line of exactly the bound is a job, one byte more is a
+  // parse error, and the stream stays line-synced after it.
+  const std::size_t max = svc::ServiceOptions::kDefaultMaxLineBytes;
+  const std::string job = R"({"algo": "dis", "threads": 4, "iterations": 3})";
+  const auto padded = [&](std::size_t bytes) {  // trailing blanks parse
+    return job + std::string(bytes - job.size(), ' ');
+  };
+  const std::string nul(1, '\0');
+  struct Row {
+    const char* what;
+    std::string stream;
+    const char* kinds;
+  };
+  const std::vector<Row> rows = {
+      {"line of exactly max_line_bytes", padded(max) + "\n" + job + "\n",
+       "RR"},
+      {"line of max_line_bytes + 1", padded(max + 1) + "\n" + job + "\n",
+       "ER"},
+      {"max_line_bytes at EOF", padded(max), "R"},
+      {"max_line_bytes + 1 at EOF", padded(max + 1), "E"},
+      {"lengths around powers of two",
+       padded(255) + "\n" + padded(256) + "\n" + padded(257) + "\n" +
+           padded(511) + "\n" + padded(512) + "\n" + padded(513) + "\n",
+       "RRRRRR"},
+      {"embedded NUL after the object", job + nul + "x\n" + job + "\n",
+       "ER"},
+      {"embedded NUL inside a value",
+       R"({"machine": "kunpeng920)" + nul + R"("})" + "\n",
+       "E"},
+      {"CR before LF", job + "\r\n\r\n#c\r\n" + job + "\r\n", "RR"},
+      {"final line with no newline", job + "\n" + job, "RR"},
+      {"blank lines", "\n\n  \t\n" + job + "\n\n", "R"},
+      {"oversized comment",
+       "#" + std::string(max + 10, 'c') + "\n  #" + std::string(max, 'c') +
+           "\n" + job + "\n",
+       "R"},
+      {"oversized comment at EOF", job + "\n#" + std::string(max, 'c'),
+       "R"},
+  };
+  for (const Row& row : rows) {
+    const std::string reference = oneshot_output(row.stream, 1);
+    EXPECT_EQ(record_kinds(reference), row.kinds) << row.what;
+    for (const int workers : {1, 2}) {
+      svc::ServiceOptions opts;
+      opts.workers = workers;
+      EXPECT_EQ(daemon_output(row.stream, opts), reference)
+          << row.what << ", workers=" << workers;
+    }
+  }
+}
+
 TEST(ServiceOptionsValidation, RejectsNonsense) {
   const auto bad = [](svc::ServiceOptions opts) {
     EXPECT_THROW(svc::SweepService s(opts), std::invalid_argument);
@@ -924,6 +1009,25 @@ TEST(ServiceLatency, FlushesWhenIntakeMayBlock) {
   svc::SweepService service(opts);
   service.serve(in, out);
   EXPECT_LT(sink.syncs(), lines.size() - 1);
+}
+
+TEST(ServiceIntake, ReadsDoNotFlushTheTiedStream) {
+  // std::cin is tied to std::cout.  Reading a line must not flush the
+  // tied stream (serve() flushes when records are due), and the tie must
+  // be back in place afterwards.
+  const std::vector<std::string> lines = latency_jobs();
+  std::istringstream in(joined(lines));
+  ReaderSink tied_sink(/*buffered=*/true);
+  std::ostream tied(&tied_sink);
+  in.tie(&tied);
+  std::ostringstream out;
+  svc::ServiceOptions opts;
+  opts.workers = 2;
+  svc::SweepService service(opts);
+  service.serve(in, out);
+  EXPECT_EQ(tied_sink.syncs(), 0u);
+  EXPECT_EQ(in.tie(), &tied);
+  EXPECT_EQ(out.str(), oneshot_output(joined(lines), 1));
 }
 
 // -- heatmap ----------------------------------------------------------------

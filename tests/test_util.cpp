@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <set>
+#include <string_view>
 #include <thread>
 
 #include "armbar/util/args.hpp"
@@ -303,6 +304,33 @@ TEST(Args, ValuelessTypedFlagThrows) {
   EXPECT_THROW(a.get_double_or("iterations", 5.0), std::invalid_argument);
   EXPECT_TRUE(a.has("trace"));
   EXPECT_EQ(a.get_or("trace", "default.json"), "default.json");
+}
+
+TEST(Args, RejectUnknownThrowsOnFlagsNotListed) {
+  constexpr std::string_view known[] = {"machine", "csv", "threads"};
+  const char* ok[] = {"prog", "--machine=tx2", "--csv", "pos"};
+  EXPECT_NO_THROW(Args(4, ok).reject_unknown(known));
+  const char* none[] = {"prog", "pos"};
+  EXPECT_NO_THROW(Args(2, none).reject_unknown(known));
+  // Bare, "--key value" and "--key=value" forms are all checked; the
+  // message names the flag.
+  for (const char* flag : {"--bogus-flag", "--bogus-flag=1"}) {
+    const char* argv[] = {"prog", "--csv", flag, "1"};
+    try {
+      Args(4, argv).reject_unknown(known);
+      ADD_FAILURE() << flag << " was accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_STREQ(e.what(), "unknown option --bogus-flag");
+    }
+  }
+  const char* bare[] = {"prog", "--max-attempts"};
+  EXPECT_THROW(Args(2, bare).reject_unknown(known), std::invalid_argument);
+  // Names match whole: neither a prefix nor an extension of a known name
+  // passes.
+  const char* prefix[] = {"prog", "--thread", "4"};
+  EXPECT_THROW(Args(3, prefix).reject_unknown(known), std::invalid_argument);
+  const char* longer[] = {"prog", "--csvx"};
+  EXPECT_THROW(Args(2, longer).reject_unknown(known), std::invalid_argument);
 }
 
 // --- backoff -----------------------------------------------------------------
